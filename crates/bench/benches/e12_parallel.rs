@@ -1,9 +1,10 @@
 //! E12 (§6 extension): parallel independent-net routing.
 //!
 //! Router latency is application latency in RTR systems; the paper lists
-//! faster algorithms as future work. We measure the optimistic parallel
-//! router's speedup over its own single-thread configuration on a large
-//! netlist, and verify thread count does not change what gets routed.
+//! faster algorithms as future work. We measure the wave-parallel
+//! routing engine's speedup over its own single-thread configuration on
+//! a large netlist, and verify thread count does not change what gets
+//! routed.
 
 use detrand::DetRng;
 use harness::{bench_group, bench_main, BatchSize, Bench};
@@ -34,7 +35,7 @@ fn table() {
     eprintln!("\n=== E12: parallel independent-net routing (extension of §6) ===");
     eprintln!(
         "{:<8} {:>8} {:>8} {:>10} {:>10} {:>9}",
-        "threads", "routed", "rounds", "conflicts", "time", "speedup"
+        "threads", "routed", "waves", "stale", "time", "speedup"
     );
     let dev = dev();
     let specs = workload(&dev, 120);
@@ -53,8 +54,8 @@ fn table() {
             threads,
             r.nets.len(),
             specs.len(),
-            r.rounds,
-            r.conflicts,
+            r.waves,
+            r.researched,
             dt * 1e3,
             base_dt / dt
         );

@@ -22,7 +22,7 @@ use jroute::pathfinder::{self, NetSpec, PathFinderConfig};
 use jroute::tuner::TunerReport;
 use jroute_bench::SEED;
 use jroute_obs::Recorder;
-use jroute_svc::{ExecMode, RoutingService, ServiceConfig, Trace};
+use jroute_svc::{RoutingService, ServiceConfig, Trace};
 use jroute_workloads::{
     congestion_cliques, hotspot_storm, long_line_starvation, ChurnParams, ChurnScenario,
 };
@@ -33,7 +33,6 @@ const CHURN_STEPS: usize = 150;
 fn det_cfg(threads: usize) -> ServiceConfig {
     ServiceConfig {
         threads,
-        mode: ExecMode::Deterministic { seed: SEED },
         audit: true,
         ..Default::default()
     }

@@ -10,7 +10,7 @@ use crate::endpoint::Pin;
 use crate::error::{NetId, Result, RouteError};
 use jbits::Pip;
 use std::collections::HashMap;
-use virtex::{segment, RowCol, SegSpace, SegVec, Segment};
+use virtex::{segment, RowCol, SegIdx, SegSpace, SegVec, Segment};
 
 /// One routed net: a source, the PIPs configured for it, and its sinks.
 #[derive(Debug, Clone)]
@@ -40,6 +40,55 @@ impl Net {
     }
 }
 
+/// A dense `Option<NetId>` map stored as `NetId + 1` words (0 = none), so
+/// a fresh map is one zeroed allocation that the OS hands out lazily:
+/// creating a database costs nothing per segment, and memory is touched
+/// only where nets are.
+///
+/// A one-bit-per-segment mirror (512 segments per cache line) answers
+/// the common "free" case of the maze's blocked checks without touching
+/// the word table, which is megabytes on the larger family members and
+/// would miss cache on nearly every probe.
+#[derive(Debug)]
+struct NetSlots {
+    words: SegVec<u32>,
+    /// `bits[i / 64] & (1 << (i % 64))` mirrors `words[i] != 0`.
+    bits: Vec<u64>,
+}
+
+impl NetSlots {
+    fn new(space: SegSpace) -> Self {
+        NetSlots {
+            words: SegVec::new(space, 0),
+            bits: vec![0; space.len().div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn get(&self, idx: SegIdx) -> Option<NetId> {
+        let i = idx.as_usize();
+        if self.bits[i / 64] & (1 << (i % 64)) == 0 {
+            return None;
+        }
+        self.words[idx].checked_sub(1).map(NetId)
+    }
+
+    #[inline]
+    fn set(&mut self, idx: SegIdx, id: Option<NetId>) {
+        let (i, bit) = (idx.as_usize(), 1u64 << (idx.as_usize() % 64));
+        match id {
+            Some(id) => {
+                self.words[idx] = id.0 + 1;
+                self.bits[i / 64] |= bit;
+            }
+            None => {
+                self.words[idx] = 0;
+                self.bits[i / 64] &= !bit;
+            }
+        }
+    }
+}
+
 /// The net database: nets, their resources, and global segment ownership.
 ///
 /// Ownership is stored densely over the device's [`SegSpace`]: `owner` /
@@ -49,10 +98,10 @@ impl Net {
 pub struct NetDb {
     nets: HashMap<NetId, Net>,
     /// Source segment -> net rooted there (dense over the segment space).
-    by_source: SegVec<Option<NetId>>,
+    by_source: NetSlots,
     /// Segment -> owning net. Set for the source segment and for the
     /// target segment of every net PIP.
-    occ: SegVec<Option<NetId>>,
+    occ: NetSlots,
     /// Number of `Some` slots in `occ` (kept so `used_segments` stays
     /// O(1)).
     used: usize,
@@ -64,8 +113,8 @@ impl NetDb {
     pub fn new(space: SegSpace) -> Self {
         NetDb {
             nets: HashMap::new(),
-            by_source: SegVec::new(space, None),
-            occ: SegVec::new(space, None),
+            by_source: NetSlots::new(space),
+            occ: NetSlots::new(space),
             used: 0,
             next: 0,
         }
@@ -74,13 +123,13 @@ impl NetDb {
     /// The segment space this database covers.
     #[inline]
     pub fn space(&self) -> SegSpace {
-        self.occ.space()
+        self.occ.words.space()
     }
 
     /// Net that owns `seg`, if any.
     #[inline]
     pub fn owner(&self, seg: Segment) -> Option<NetId> {
-        self.occ[self.space().index(seg)]
+        self.occ.get(self.space().index(seg))
     }
 
     /// Whether `seg` is currently used by any net.
@@ -92,7 +141,7 @@ impl NetDb {
     /// Net rooted at source segment `seg`.
     #[inline]
     pub fn net_at_source(&self, seg: Segment) -> Option<NetId> {
-        self.by_source[self.space().index(seg)]
+        self.by_source.get(self.space().index(seg))
     }
 
     /// Look up a net.
@@ -121,7 +170,7 @@ impl NetDb {
     /// another net — use [`NetDb::net_at_source`] to extend instead.
     pub fn create(&mut self, source_pin: Pin, seg: Segment) -> Result<NetId> {
         let idx = self.space().index(seg);
-        if let Some(owner) = self.occ[idx] {
+        if let Some(owner) = self.occ.get(idx) {
             // Rooting a second net at the same source is a user error;
             // extending the existing net is the supported operation.
             return Err(RouteError::ResourceInUse {
@@ -142,7 +191,7 @@ impl NetDb {
                 intents: Vec::new(),
             },
         );
-        self.by_source[idx] = Some(id);
+        self.by_source.set(idx, Some(id));
         self.occupy(seg, id);
         Ok(id)
     }
@@ -233,8 +282,8 @@ impl NetDb {
         let net = self.nets.remove(&id)?;
         let space = self.space();
         let src = space.index(net.source);
-        if self.by_source[src] == Some(id) {
-            self.by_source[src] = None;
+        if self.by_source.get(src) == Some(id) {
+            self.by_source.set(src, None);
         }
         self.release_owned(net.source, id);
         for &(rc, pip) in &net.pips {
@@ -256,8 +305,9 @@ impl NetDb {
     pub fn iter_used(&self) -> impl Iterator<Item = (Segment, NetId)> + '_ {
         let space = self.space();
         self.occ
+            .words
             .iter()
-            .filter_map(move |(idx, v)| v.map(|id| (space.segment(idx), id)))
+            .filter_map(move |(idx, &v)| v.checked_sub(1).map(|id| (space.segment(idx), NetId(id))))
     }
 
     /// Deterministically ordered census of every owned segment: the
@@ -274,16 +324,17 @@ impl NetDb {
     /// Mark `seg` owned by `id`.
     fn occupy(&mut self, seg: Segment, id: NetId) {
         let idx = self.space().index(seg);
-        if self.occ[idx].is_none() {
+        if self.occ.get(idx).is_none() {
             self.used += 1;
         }
-        self.occ[idx] = Some(id);
+        self.occ.set(idx, Some(id));
     }
 
     /// Release `seg` regardless of owner.
     fn release(&mut self, seg: Segment) {
         let idx = self.space().index(seg);
-        if self.occ[idx].take().is_some() {
+        if self.occ.get(idx).is_some() {
+            self.occ.set(idx, None);
             self.used -= 1;
         }
     }
@@ -292,8 +343,8 @@ impl NetDb {
     /// target; the second release must not clobber the accounting).
     fn release_owned(&mut self, seg: Segment, id: NetId) {
         let idx = self.space().index(seg);
-        if self.occ[idx] == Some(id) {
-            self.occ[idx] = None;
+        if self.occ.get(idx) == Some(id) {
+            self.occ.set(idx, None);
             self.used -= 1;
         }
     }

@@ -1,64 +1,66 @@
-//! Parallel routing of independent nets.
+//! The one routing engine: ordered, wave-parallel transactions over a
+//! [`NetDb`].
 //!
 //! Paper §6 lists faster routing algorithms as future work; run-time
-//! reconfiguration makes router latency part of application latency, so
-//! this module implements the natural HPC extension: route many nets
-//! concurrently (experiment E12).
+//! reconfiguration makes router latency part of application latency.
+//! This module routes many nets concurrently without giving up either
+//! the JRoute §3.4 invariant (committed state is always free of
+//! contention) or determinism. It serves the batch service
+//! (`jroute-svc`) and [`route_parallel`] (experiment E12) alike.
 //!
-//! The scheme is *optimistic parallel routing with a lock-free claim
-//! table*:
+//! A batch is a list of [`Job`]s in commit order. A job tears down some
+//! committed nets and routes new ones, all or nothing, so a route, an
+//! unroute and a replace are all jobs. The [`Engine`] runs a batch in
+//! three steps:
 //!
-//! 1. each round, worker threads route their share of the pending nets;
-//!    the maze search treats segments claimed by **other** nets as
-//!    blocked, reading the shared claim table live;
-//! 2. as soon as a sink is reached the worker claims the new segments by
-//!    compare-and-swap on the per-segment owner word. A lost CAS means
-//!    another net grabbed the segment mid-search: the worker rolls back
-//!    every claim it made for the net and defers it to the next round.
+//! 1. **Plan.** Each job gets a box: the union of its nets' search
+//!    regions ([`net_search_box`]) and the extent of its victims'
+//!    segments. A job may search once every earlier job whose box
+//!    overlaps its own is decided. The jobs that become ready together
+//!    form a *wave*; their boxes are pairwise disjoint, and no earlier
+//!    undecided job overlaps any of them.
+//! 2. **Search.** A wave's jobs search in parallel ([`WaveExec`]) against
+//!    the database as it stood when the wave started. A job's victims
+//!    read as free to its own searches; the nets of one job block each
+//!    other.
+//! 3. **Commit.** One thread decides the jobs strictly in order. A job
+//!    changes the database only once every one of its nets has a path,
+//!    so a failure needs no rollback.
 //!
-//! There is no commit barrier — a net is committed the moment its last
-//! claim lands, and its claims immediately steer every other in-flight
-//! search away. The committed configuration is always contention-free —
-//! the JRoute §3.4 invariant — and equivalent to some sequential routing
-//! order (the order in which final claims landed).
+//! The committed state is exactly that of running the jobs one at a
+//! time, in order, whatever the worker count.
 //!
-//! Since the unified-engine refactor, each round's pending nets are
-//! first partitioned into bbox-disjoint *waves*
-//! ([`partition_waves`](crate::partition::partition_waves) — the same
-//! planner the negotiated router uses), so nets dispatched together
-//! rarely touch each other's claims at all; within a wave, nets are
-//! distributed over the workers by a
-//! [`Scheduler`](crate::schedule::Scheduler): work-stealing deques by
-//! default (net route times are wildly skewed, so static chunks leave
-//! workers idle on the tail), with the original chunked assignment
-//! available via [`SchedulerKind::Chunked`]. Unlike the negotiator,
-//! disjointness here is an *optimization*, not a correctness condition —
-//! a net that escapes its region via the unbounded fallback is still
-//! caught by the claim CAS — so waves cut conflicts without constraining
-//! the search. The claim table and the per-net routing step are public so
-//! the batch service front-end (`jroute-svc`) can schedule
-//! route/unroute/replace *requests* over the same substrate.
+//! **Staleness rule.** A frozen search result is re-searched on the
+//! commit thread, against live state, when a commit since the search
+//! wrote (occupied or freed) a segment the search could read: a segment
+//! whose origin lies inside its search region, any long line (long lines
+//! are exempt from the region in [`maze`]), or one of its own terminals.
+//! A search that fell back to the whole device reads everything, so any
+//! write since makes it stale. Box-disjointness makes staleness rare, but
+//! a net that fell back may leave its box, so exactness rests on this
+//! rule and not on the plan.
 
+use crate::error::{NetId, Result, RouteError};
 use crate::maze::{self, MazeConfig, MazeScratch};
+use crate::net::{Net, NetDb};
 use crate::partition::{self, ScratchPool, SearchBox};
 use crate::pathfinder::NetSpec;
-use crate::schedule::{SchedulerKind, WaveExec};
+use crate::schedule::WaveExec;
 use jbits::Pip;
 use jroute_obs::{Recorder, TraceCtx};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use virtex::{BBox, Device, RowCol, SegIdx, SegSpace, SegVec, Segment};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
+use virtex::{BBox, Device, RowCol, Segment, WireKind};
 
 /// Margin (tiles beyond the terminal bounding box) of the per-net search
-/// region claim-routing confines itself to before falling back to the
-/// whole device.
+/// region a net's searches confine themselves to before falling back to
+/// the whole device.
 const NET_BBOX_MARGIN: u16 = partition::DEFAULT_MARGIN;
 
 /// The default search region for `spec`: its terminal bounding box plus
 /// routing slack ([`NET_BBOX_MARGIN`] of detour room and hex reach — see
-/// [`SearchBox::region`], the one canonical expansion). Shared by
-/// [`route_one_claiming`], the wave partitioner below and the sequential
-/// replay model in `jroute-svc`, which must take byte-identical search
-/// decisions.
+/// [`SearchBox::region`], the one canonical expansion).
 pub fn net_search_box(dev: &Device, spec: &NetSpec) -> BBox {
     SearchBox::of_spec(spec).region(NET_BBOX_MARGIN, dev.dims())
 }
@@ -70,10 +72,6 @@ pub struct ParallelConfig {
     pub threads: usize,
     /// Maze options shared by all workers.
     pub maze: MazeConfig,
-    /// Give up after this many rounds without progress.
-    pub max_stalled_rounds: usize,
-    /// How each round's pending nets are distributed over the workers.
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for ParallelConfig {
@@ -83,20 +81,18 @@ impl Default for ParallelConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             maze: MazeConfig::default(),
-            max_stalled_rounds: 3,
-            scheduler: SchedulerKind::default(),
         }
     }
 }
 
-/// A net routed by the parallel router.
+/// A net routed by the engine.
 #[derive(Debug, Clone)]
 pub struct ParallelNet {
     /// The net as requested.
     pub spec: NetSpec,
     /// PIPs in configuration order.
     pub pips: Vec<(RowCol, Pip)>,
-    /// Segments the net occupies.
+    /// Segments the net occupies beyond its source, one per PIP.
     pub segments: Vec<Segment>,
 }
 
@@ -107,338 +103,439 @@ pub struct ParallelResult {
     pub nets: Vec<ParallelNet>,
     /// Indices of nets that could not be routed.
     pub failed: Vec<usize>,
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Candidate paths discarded due to same-round conflicts.
-    pub conflicts: usize,
+    /// Search waves dispatched.
+    pub waves: u64,
+    /// Frozen results re-searched at commit under the staleness rule.
+    pub researched: u64,
 }
 
-/// Sentinel owner word for an unclaimed segment.
-const FREE: u32 = u32::MAX;
-
-/// Lock-free per-segment owner table shared by all workers.
-///
-/// Each slot holds the claiming owner's id or is free. Only the CAS's
-/// atomicity matters — no other data is published through a claim — so
-/// relaxed ordering is sufficient throughout. Owner ids are an arbitrary
-/// `u32` namespace chosen by the caller (net indices here; a split
-/// persisted-net/in-flight-request namespace in `jroute-svc`); the value
-/// `u32::MAX` is reserved as the free sentinel.
-///
-/// The maze search probes `blocked_for` for every neighbour it touches,
-/// so reads vastly outnumber claims. A compact occupancy bitmap (one bit
-/// per segment, 512 segments per cache line) answers the common
-/// "unclaimed" case without touching the owner table, which is dozens of
-/// megabytes on the largest family members and would miss cache on
-/// nearly every probe. The bitmap is advisory — a stale bit only costs
-/// one owner-table read (set) or one failed claim CAS (clear); the CAS
-/// on the owner word is what enforces exclusivity.
-#[derive(Debug)]
-pub struct ClaimTable {
-    table: SegVec<AtomicU32>,
-    /// `bits[i / 64] & (1 << (i % 64))` mirrors `table[i] != FREE`.
-    bits: Vec<AtomicU64>,
-}
-
-impl ClaimTable {
-    /// An all-free table over one device's segment space.
-    pub fn new(space: SegSpace) -> Self {
-        ClaimTable {
-            table: SegVec::from_fn(space, || AtomicU32::new(FREE)),
-            bits: (0..space.len().div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        }
-    }
-
-    /// The segment space this table covers.
-    #[inline]
-    pub fn space(&self) -> SegSpace {
-        self.table.space()
-    }
-
-    /// Whether `idx` is claimed by an owner other than `id`.
-    #[inline]
-    pub fn blocked_for(&self, idx: SegIdx, id: u32) -> bool {
-        let i = idx.as_usize();
-        if self.bits[i / 64].load(Ordering::Relaxed) & (1 << (i % 64)) == 0 {
-            return false;
-        }
-        let cur = self.table[idx].load(Ordering::Relaxed);
-        cur != FREE && cur != id
-    }
-
-    /// Current owner of `idx`, if any. Racy under concurrent claims —
-    /// meaningful between runs (audits) or from the claiming thread.
-    #[inline]
-    pub fn owner(&self, idx: SegIdx) -> Option<u32> {
-        let cur = self.table[idx].load(Ordering::Relaxed);
-        (cur != FREE).then_some(cur)
-    }
-
-    /// Claim `idx` for `id`, reporting whether the claim is fresh.
-    /// Rollback code releases only [`Claim::Won`] segments — a segment
-    /// that was already ours (a net reaching it through a second branch,
-    /// or a service request that took it over via [`Self::transfer`])
-    /// must keep its claim when a later step unwinds.
-    #[inline]
-    pub fn claim(&self, idx: SegIdx, id: u32) -> Claim {
-        debug_assert_ne!(id, FREE, "u32::MAX is the free sentinel");
-        match self.table[idx].compare_exchange(FREE, id, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => {
-                let i = idx.as_usize();
-                self.bits[i / 64].fetch_or(1 << (i % 64), Ordering::Relaxed);
-                Claim::Won
-            }
-            Err(cur) if cur == id => Claim::AlreadyOurs,
-            Err(_) => Claim::Lost,
-        }
-    }
-
-    /// Claim `idx` for `id`. Succeeds if the slot was free or already
-    /// ours (a net may reach the same segment through several branches).
-    #[inline]
-    pub fn try_claim(&self, idx: SegIdx, id: u32) -> bool {
-        self.claim(idx, id) != Claim::Lost
-    }
-
-    /// Hand a claim owned by `from` directly to `to`, without the
-    /// segment ever appearing free to concurrent searchers. This is how
-    /// the service's `Replace` requests take over the segments of the
-    /// nets they remove before re-routing over them. Fails (returns
-    /// `false`) if `from` does not own the slot.
-    #[inline]
-    pub fn transfer(&self, idx: SegIdx, from: u32, to: u32) -> bool {
-        debug_assert!(from != FREE && to != FREE, "u32::MAX is the free sentinel");
-        self.table[idx]
-            .compare_exchange(from, to, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// Roll back a claim owned by `id` (no-op if not ours). A concurrent
-    /// re-claim between the owner CAS and the bit clear can drop the
-    /// new claimant's bit — benign, see the type docs.
-    #[inline]
-    pub fn release(&self, idx: SegIdx, id: u32) {
-        if self.table[idx]
-            .compare_exchange(id, FREE, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            let i = idx.as_usize();
-            self.bits[i / 64].fetch_and(!(1 << (i % 64)), Ordering::Relaxed);
-        }
-    }
-
-    /// Every claimed segment with its owner id. An O(space) scan over
-    /// the owner table — for pre-run seeding audits and post-run leak
-    /// checks, not for hot paths, and only stable while no claims are in
-    /// flight.
-    pub fn claimed(&self) -> impl Iterator<Item = (SegIdx, u32)> + '_ {
-        self.table.iter().filter_map(|(idx, slot)| {
-            let cur = slot.load(Ordering::Relaxed);
-            (cur != FREE).then_some((idx, cur))
-        })
-    }
-}
-
-/// Result of one [`ClaimTable::claim`] attempt.
+/// Why a net could not be routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Claim {
-    /// The slot was free; the claim is fresh (release it on rollback).
-    Won,
-    /// The slot already belonged to `id` (leave it alone on rollback).
-    AlreadyOurs,
-    /// The slot belongs to someone else.
-    Lost,
+pub enum RouteFail {
+    /// A terminal is taken, or no free path exists.
+    NoPath,
+    /// The net names a wire that does not exist on the device.
+    BadWire,
 }
 
-/// Per-net outcome of one routing attempt.
+/// One net's search outcome and the region the search read.
 #[derive(Debug)]
-pub enum RouteOutcome {
-    /// Routed and claimed; the net is committed.
-    Committed(Box<ParallelNet>),
-    /// Lost a claim race, found a needed segment claimed by another net,
-    /// or the search came up empty (possibly blocked by in-flight claims
-    /// that later roll back) — retry later.
-    Deferred,
-    /// The `cancel` probe fired mid-route; every claim made for the net
-    /// has been rolled back.
-    Cancelled,
-    /// The net names a nonexistent wire — permanent.
-    Failed,
+pub struct NetRoute {
+    /// The routed net, or why it has no route.
+    pub net: std::result::Result<ParallelNet, RouteFail>,
+    /// Region every search stayed in; `None` once a search fell back to
+    /// the whole device.
+    pub region: Option<BBox>,
 }
 
-/// Route one net, validating and claiming against the live claim table.
+/// Route `spec` around the segments `blocked` reports taken.
 ///
-/// On success every segment of the net (including its source) is claimed
-/// for `id` before returning, so the net is committed with no further
-/// coordination. On deferral, cancellation or failure all claims made
-/// here are rolled back — the table is exactly as it was.
-///
-/// `cancel` is polled on every maze-search probe (and between sinks), so
-/// a request can be abandoned mid-search: this is the request-scoped
-/// rollback primitive under `jroute-svc` cancellation and deadline
-/// expiry. Pass `|| false` when cancellation is not needed.
-///
-/// `ctx` is the causal trace context of whatever triggered this net —
-/// the svc request's exec span, or a `parallel.worker` span. The
-/// `parallel.net` span opened here (and, ambiently, every nested
-/// `maze.search`) links back to it even when the net was stolen onto a
-/// different thread. Pass [`TraceCtx::NONE`] for untraced calls.
-#[allow(clippy::too_many_arguments)] // the full claim-routing contract
-pub fn route_one_claiming(
+/// Each sink is searched first inside the net's region
+/// ([`net_search_box`], or `maze.bbox` when the caller pins one), then —
+/// if that finds nothing and the region was not pinned — over the whole
+/// device, so bounding can slow a route down but never lose one. This is
+/// the one search policy of the engine and of the sequential model in
+/// `jroute-svc`, which must take identical decisions.
+pub fn route_net(
     dev: &Device,
     spec: &NetSpec,
-    id: u32,
-    claims: &ClaimTable,
-    cfg: &MazeConfig,
+    maze: &MazeConfig,
+    blocked: impl Fn(Segment) -> bool,
     scratch: &mut MazeScratch,
-    cancel: impl Fn() -> bool,
-    ctx: TraceCtx,
     obs: &Recorder,
-) -> RouteOutcome {
-    let mut net_span = obs.span_ctx("parallel.net", ctx);
-    net_span.note(id as u64);
-    let space = dev.seg_space();
-    let Some(src_seg) = dev.canonicalize(spec.source.rc, spec.source.wire) else {
-        return RouteOutcome::Failed;
+) -> NetRoute {
+    let mut bounded = maze.clone();
+    let mut region = Some(
+        *bounded
+            .bbox
+            .get_or_insert_with(|| net_search_box(dev, spec)),
+    );
+    let fail = |region, why| NetRoute {
+        net: Err(why),
+        region,
     };
-    // Freshly-claimed indices, for rollback on deferral. Segments the
-    // caller already owned (e.g. handed over via `ClaimTable::transfer`
-    // by a Replace request) are deliberately not recorded: rollback must
-    // return the table to its entry state, not free them.
-    let mut newly: Vec<SegIdx> = Vec::new();
-    let claim = |idx: SegIdx, newly: &mut Vec<SegIdx>| match claims.claim(idx, id) {
-        Claim::Won => {
-            newly.push(idx);
-            true
-        }
-        Claim::AlreadyOurs => true,
-        Claim::Lost => false,
+    let Some(src) = dev.canonicalize(spec.source.rc, spec.source.wire) else {
+        return fail(region, RouteFail::BadWire);
     };
-    let rollback = |newly: &[SegIdx]| {
-        for &idx in newly {
-            claims.release(idx, id);
-        }
-    };
-    if cancel() {
-        return RouteOutcome::Cancelled;
-    }
-    if !claim(space.index(src_seg), &mut newly) {
-        return RouteOutcome::Deferred; // source segment owned by another net
+    if blocked(src) {
+        return fail(region, RouteFail::NoPath);
     }
     let mut net = ParallelNet {
         spec: spec.clone(),
         pips: Vec::new(),
         segments: Vec::new(),
     };
-    // Confine searches to the net's own neighbourhood unless the caller
-    // pinned a region already; a failure inside the box retries
-    // unbounded below, so bounding never costs a route.
-    let mut bounded = cfg.clone();
-    if bounded.bbox.is_none() {
-        bounded.bbox = Some(net_search_box(dev, spec));
-    }
-    let mut starts = vec![(src_seg, 0u32)];
+    let mut starts = vec![(src, 0u32)];
     for sink in &spec.sinks {
         let Some(goal) = dev.canonicalize(sink.rc, sink.wire) else {
-            rollback(&newly);
-            return RouteOutcome::Failed;
+            return fail(region, RouteFail::BadWire);
         };
-        if claims.blocked_for(space.index(goal), id) {
-            rollback(&newly);
-            return RouteOutcome::Deferred;
+        // The maze never blocked-checks its goal; a taken sink is a
+        // dead end, not a search.
+        if blocked(goal) {
+            return fail(region, RouteFail::NoPath);
         }
-        // A cancelled request sees every segment as blocked, so the
-        // search drains its open list and fails fast instead of
-        // finishing a route nobody wants.
-        let mut r = maze::search_obs(
-            dev,
-            &starts,
-            goal,
-            &bounded,
-            |seg| cancel() || claims.blocked_for(space.index(seg), id),
-            |_| 0,
-            scratch,
-            obs,
-        );
-        if r.is_none() && cfg.bbox.is_none() && !cancel() {
-            // The region may have hidden the only free detour; the
-            // unbounded retry distinguishes "boxed out" from "blocked".
+        let search = |cfg: &MazeConfig, scratch: &mut MazeScratch| {
+            maze::search_obs(dev, &starts, goal, cfg, &blocked, |_| 0, scratch, obs)
+        };
+        let mut r = search(&bounded, scratch);
+        if r.is_none() && maze.bbox.is_none() {
             obs.count("parallel.bbox_fallbacks", 1);
-            r = maze::search_obs(
-                dev,
-                &starts,
-                goal,
-                cfg,
-                |seg| cancel() || claims.blocked_for(space.index(seg), id),
-                |_| 0,
-                scratch,
-                obs,
-            );
+            region = None;
+            r = search(maze, scratch);
         }
         let Some(r) = r else {
-            rollback(&newly);
-            // May be a cancellation, a true dead end, or a transient
-            // block by claims that later roll back.
-            return if cancel() {
-                RouteOutcome::Cancelled
-            } else {
-                RouteOutcome::Deferred
-            };
+            return fail(region, RouteFail::NoPath);
         };
-        // Claim the new branch immediately: other workers' searches see
-        // these segments as blocked from here on.
-        for seg in &r.segments {
-            if !claim(space.index(*seg), &mut newly) {
-                // Another net won the segment mid-search.
-                rollback(&newly);
-                return RouteOutcome::Deferred;
-            }
-        }
-        for seg in &r.segments {
-            starts.push((*seg, 0));
-            net.segments.push(*seg);
-        }
+        starts.extend(r.segments.iter().map(|&s| (s, 0)));
+        net.segments.extend_from_slice(&r.segments);
         net.pips.extend_from_slice(&r.pips);
     }
-    if cancel() {
-        rollback(&newly);
-        return RouteOutcome::Cancelled;
+    NetRoute {
+        net: Ok(net),
+        region,
     }
-    RouteOutcome::Committed(Box::new(net))
 }
 
-/// Per-worker state for one wave: a leased maze scratch plus the obs
-/// span covering the worker's life. Dropping it stamps the span with the
-/// number of nets the worker actually executed — under work-stealing
-/// that is the interesting number, not the preloaded share — and returns
-/// the scratch to the pool for the next wave's workers.
-struct WorkerCtx<'p> {
-    scratch: crate::partition::PooledScratch<'p>,
-    span: jroute_obs::Span,
-    attempted: u64,
+/// Commit a routed net into `db` and return its id. Contention here
+/// means the occupied set the net was searched against was wrong.
+pub fn apply_net(dev: &Device, db: &mut NetDb, net: &ParallelNet) -> Result<NetId> {
+    let pin = net.spec.source;
+    let src = dev
+        .canonicalize(pin.rc, pin.wire)
+        .ok_or(RouteError::NoSuchWire {
+            rc: pin.rc,
+            wire: pin.wire,
+        })?;
+    let id = db.create(pin, src)?;
+    for (&(rc, pip), &seg) in net.pips.iter().zip(&net.segments) {
+        db.add_pip(id, rc, pip, seg)?;
+    }
+    for sink in &net.spec.sinks {
+        db.add_sink(id, *sink);
+    }
+    Ok(id)
 }
 
-impl Drop for WorkerCtx<'_> {
-    fn drop(&mut self) {
-        self.span.note(self.attempted);
+/// Every segment `net` owns: its source plus each PIP's target.
+fn net_segments<'n>(dev: &Device, net: &'n Net) -> impl Iterator<Item = Segment> + 'n {
+    let dims = dev.dims();
+    std::iter::once(net.source).chain(
+        net.pips
+            .iter()
+            .filter_map(move |&(rc, pip)| virtex::segment::canonicalize(dims, rc, pip.to)),
+    )
+}
+
+/// When a job's searches give up early: a cancellation flag and a
+/// wall-clock deadline, polled on every search probe.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Abandon<'a> {
+    /// Give up once this flag is set.
+    pub cancel: Option<&'a AtomicBool>,
+    /// Give up at this instant.
+    pub deadline: Option<Instant>,
+}
+
+impl Abandon<'_> {
+    /// Whether the job should stop searching.
+    #[inline]
+    pub fn fired(&self) -> bool {
+        self.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+}
+
+/// One transaction of a batch: tear down `victims`, then route `specs`
+/// over the freed resources — all or nothing.
+#[derive(Debug)]
+pub struct Job<'a> {
+    /// Committed nets the job removes; free to its own searches.
+    pub victims: Vec<NetId>,
+    /// Nets the job routes, in order; each blocks the ones after it.
+    pub specs: &'a [NetSpec],
+    /// Causal context the job's search spans link to.
+    pub ctx: TraceCtx,
+    /// When the job's searches give up (cancellation and wall-clock
+    /// deadlines in `jroute-svc`).
+    pub abandon: Abandon<'a>,
+}
+
+/// What a committed job changed.
+#[derive(Debug)]
+pub struct Committed {
+    /// Victims removed from the database.
+    pub removed: Vec<NetId>,
+    /// Nets created, in `specs` order.
+    pub added: Vec<(NetId, ParallelNet)>,
+}
+
+/// Counters of one engine run.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct EngineStats {
+    /// Search waves dispatched.
+    pub waves: u64,
+    /// Frozen results re-searched at commit under the staleness rule.
+    pub researched: u64,
+    /// Searches a worker stole from another worker's deque.
+    pub steals: u64,
+}
+
+/// A job's search, frozen until its commit.
+struct Frozen {
+    nets: std::result::Result<Vec<ParallelNet>, RouteFail>,
+    /// Region each searched net read (`None` = the whole device).
+    regions: Vec<Option<BBox>>,
+    /// Journal length when the search ran.
+    at: usize,
+}
+
+/// The batch engine. Build it over the batch's jobs, then decide every
+/// job in order with [`Engine::commit`] or [`Engine::skip`]; searches
+/// run in waves as the commit cursor makes jobs ready.
+pub struct Engine<'a> {
+    dev: &'a Device,
+    maze: &'a MazeConfig,
+    exec: WaveExec,
+    pool: &'a ScratchPool,
+    obs: &'a Recorder,
+    /// Name of the span each job search opens.
+    span: &'static str,
+    jobs: Vec<Option<Job<'a>>>,
+    /// Per job, the last earlier job whose box overlaps its own; the job
+    /// searches only once that one is decided.
+    after: Vec<Option<usize>>,
+    frozen: Vec<Option<Frozen>>,
+    /// Every segment a commit of this batch occupied or freed, in order.
+    journal: Vec<Segment>,
+    /// Jobs decided so far — the commit cursor.
+    decided: usize,
+    stats: EngineStats,
+}
+
+impl<'a> Engine<'a> {
+    /// Plan `jobs` (in commit order; `None` = a job decided without
+    /// routing) against `db`, the state the batch starts from. Searches
+    /// use `exec`'s workers, scratch from `pool`, and open one `span`
+    /// per job search, linked to the job's context.
+    #[allow(clippy::too_many_arguments)] // the full batch contract
+    pub fn new(
+        dev: &'a Device,
+        db: &NetDb,
+        jobs: Vec<Option<Job<'a>>>,
+        maze: &'a MazeConfig,
+        exec: WaveExec,
+        pool: &'a ScratchPool,
+        obs: &'a Recorder,
+        span: &'static str,
+    ) -> Self {
+        let boxes: Vec<Option<BBox>> = jobs
+            .iter()
+            .map(|job| {
+                let job = job.as_ref()?;
+                let mut points = Vec::new();
+                for spec in job.specs {
+                    let r = maze.bbox.unwrap_or_else(|| net_search_box(dev, spec));
+                    points.extend([r.min, r.max]);
+                }
+                for net in job.victims.iter().filter_map(|&v| db.net(v)) {
+                    points.extend(net_segments(dev, net).map(|s| s.rc));
+                }
+                BBox::of(points)
+            })
+            .collect();
+        let after = (0..jobs.len())
+            .map(|m| {
+                let bm = boxes[m]?;
+                (0..m)
+                    .rev()
+                    .find(|&i| boxes[i].is_some_and(|bi| !partition::disjoint(bi, bm)))
+            })
+            .collect();
+        let n = jobs.len();
+        Engine {
+            dev,
+            maze,
+            exec,
+            pool,
+            obs,
+            span,
+            jobs,
+            after,
+            frozen: (0..n).map(|_| None).collect(),
+            journal: Vec::new(),
+            decided: 0,
+            stats: EngineStats::default(),
+        }
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> EngineStats {
+        self.stats
+    }
+
+    /// Decide job `k` — the next undecided one — without changing the
+    /// database (it was cancelled, expired or rejected).
+    pub fn skip(&mut self, k: usize) {
+        assert_eq!(k, self.decided, "jobs are decided in order");
+        self.decided += 1;
+        self.jobs[k] = None;
+        self.frozen[k] = None;
+    }
+
+    /// Commit job `k` — the next undecided one — into `db`. Its nets come
+    /// from its wave search, re-searched against `db` if the staleness
+    /// rule says so; if every net has a path, the victims are removed and
+    /// the nets created. Otherwise `db` is unchanged and the error says
+    /// why the first unroutable net failed.
+    pub fn commit(
+        &mut self,
+        k: usize,
+        db: &mut NetDb,
+    ) -> std::result::Result<Committed, RouteFail> {
+        assert_eq!(k, self.decided, "jobs are decided in order");
+        let routes = self.jobs[k]
+            .as_ref()
+            .expect("commit of a planned job")
+            .specs
+            .len();
+        if routes > 0 && self.frozen[k].is_none() {
+            self.search_wave(db);
+        }
+        self.decided += 1;
+        let job = self.jobs[k].take().expect("commit of a planned job");
+        let nets = match self.frozen[k].take() {
+            None => Ok(Vec::new()),
+            Some(f) if !self.stale(&f, &job) => f.nets,
+            Some(_) => {
+                self.stats.researched += 1;
+                let mut scratch = self.pool.lease(self.dev);
+                self.search(&job, db, &mut scratch, self.journal.len()).nets
+            }
+        }?;
+        for &v in &job.victims {
+            let net = db.remove_net(v).expect("victim net exists");
+            self.journal.extend(net_segments(self.dev, &net));
+        }
+        let mut added = Vec::with_capacity(nets.len());
+        for net in nets {
+            let id = apply_net(self.dev, db, &net).expect("a validated search never contends");
+            self.journal
+                .extend(net_segments(self.dev, db.net(id).expect("just created")));
+            added.push((id, net));
+        }
+        Ok(Committed {
+            removed: job.victims,
+            added,
+        })
+    }
+
+    /// Search every job that is ready at the commit cursor — not yet
+    /// searched, and with no undecided earlier job overlapping its box —
+    /// in parallel against `db`.
+    fn search_wave(&mut self, db: &NetDb) {
+        let k = self.decided;
+        let ready: Vec<u64> = (k..self.jobs.len())
+            .filter(|&m| {
+                self.frozen[m].is_none()
+                    && self.jobs[m].as_ref().is_some_and(|j| !j.specs.is_empty())
+                    && self.after[m].is_none_or(|d| d < k)
+            })
+            .map(|m| m as u64)
+            .collect();
+        let at = self.journal.len();
+        let this = &*self;
+        let run = this.exec.run_wave(
+            &ready,
+            |_| this.pool.lease(this.dev),
+            |scratch, m| {
+                let job = this.jobs[m as usize].as_ref().expect("ready job");
+                this.search(job, db, scratch, at)
+            },
+        );
+        self.stats.waves += 1;
+        self.stats.steals += run.steals;
+        for (m, frozen) in run.results {
+            self.frozen[m as usize] = Some(frozen);
+        }
+    }
+
+    /// Route `job`'s nets against `db` with its victims free; `at` is
+    /// the journal length `db` reflects.
+    fn search(&self, job: &Job<'_>, db: &NetDb, scratch: &mut MazeScratch, at: usize) -> Frozen {
+        let _span = self.obs.span_ctx(self.span, job.ctx);
+        // Segments this job's earlier nets took.
+        let mut taken: HashSet<Segment> = HashSet::new();
+        let mut nets = Vec::with_capacity(job.specs.len());
+        let mut regions = Vec::with_capacity(job.specs.len());
+        for spec in job.specs {
+            // The emptiness test skips hashing on every probe of a
+            // single-net job.
+            let blocked = |seg: Segment| {
+                job.abandon.fired()
+                    || (!taken.is_empty() && taken.contains(&seg))
+                    || db.owner(seg).is_some_and(|o| !job.victims.contains(&o))
+            };
+            let r = route_net(self.dev, spec, self.maze, blocked, scratch, self.obs);
+            regions.push(r.region);
+            match r.net {
+                Ok(net) => {
+                    taken.extend(self.dev.canonicalize(spec.source.rc, spec.source.wire));
+                    taken.extend(net.segments.iter().copied());
+                    nets.push(net);
+                }
+                Err(why) => {
+                    return Frozen {
+                        nets: Err(why),
+                        regions,
+                        at,
+                    }
+                }
+            }
+        }
+        Frozen {
+            nets: Ok(nets),
+            regions,
+            at,
+        }
+    }
+
+    /// The staleness rule (see the module docs).
+    fn stale(&self, f: &Frozen, job: &Job<'_>) -> bool {
+        let writes = &self.journal[f.at..];
+        if writes.is_empty() {
+            return false;
+        }
+        if f.regions.iter().any(Option::is_none) {
+            return true;
+        }
+        let terminals: Vec<Segment> = job
+            .specs
+            .iter()
+            .flat_map(|s| std::iter::once(&s.source).chain(&s.sinks))
+            .filter_map(|p| self.dev.canonicalize(p.rc, p.wire))
+            .collect();
+        writes.iter().any(|w| {
+            matches!(w.wire.kind(), WireKind::LongH(_) | WireKind::LongV(_))
+                || terminals.contains(w)
+                || f.regions.iter().flatten().any(|b| b.contains(w.rc))
+        })
     }
 }
 
 /// Route `specs` using `cfg.threads` workers.
 ///
-/// The returned nets are mutually contention-free; `failed` lists nets
-/// for which no route existed under the final committed state.
+/// The result is exactly sequential routing in input order: each net
+/// routes around every net before it. `failed` lists nets for which no
+/// route existed at their turn.
 pub fn route_parallel(dev: &Device, specs: &[NetSpec], cfg: &ParallelConfig) -> ParallelResult {
     route_parallel_obs(dev, specs, cfg, &Recorder::disabled())
 }
 
-/// [`route_parallel`] with observability: a `parallel.route` span over the
-/// whole run, one `parallel.worker` span per worker thread per round (note
-/// = nets attempted), `parallel.conflicts` / `parallel.commits` /
-/// `parallel.steals` counters, and a `parallel.net_attempts` histogram
-/// capturing how many rounds each net needed (retries = attempts − 1).
+/// [`route_parallel`] with observability: a `parallel.route` span over
+/// the run, one `parallel.net` span per net search linked to it (stolen
+/// searches included), and `parallel.waves` / `parallel.researched` /
+/// `parallel.steals` / `parallel.nets_failed` counters.
 pub fn route_parallel_obs(
     dev: &Device,
     specs: &[NetSpec],
@@ -447,137 +544,42 @@ pub fn route_parallel_obs(
 ) -> ParallelResult {
     let mut run_span = obs.span_root("parallel.route");
     run_span.note(specs.len() as u64);
-    let root_ctx = run_span.ctx();
-    let c_steals = obs.counter("parallel.steals");
-    let c_commits = obs.counter("parallel.commits");
-    let c_conflicts = obs.counter("parallel.conflicts");
-    let c_failed = obs.counter("parallel.nets_failed");
-    let c_rounds = obs.counter("parallel.rounds");
-    let c_waves = obs.counter("parallel.waves");
-    let h_attempts = obs.histogram("parallel.net_attempts");
-    let h_wave_size = obs.histogram("parallel.wave_size");
-    debug_assert!(
-        specs.len() < FREE as usize,
-        "net index must fit the owner word"
-    );
-    let claims = ClaimTable::new(dev.seg_space());
+    let ctx = run_span.ctx();
     let pool = ScratchPool::new();
+    let mut db = NetDb::new(dev.seg_space());
+    let jobs = specs
+        .iter()
+        .map(|spec| {
+            Some(Job {
+                victims: Vec::new(),
+                specs: std::slice::from_ref(spec),
+                ctx,
+                abandon: Abandon::default(),
+            })
+        })
+        .collect();
     let exec = WaveExec {
         threads: cfg.threads.max(1),
-        scheduler: cfg.scheduler,
-        deterministic: false,
     };
-    let mut done: Vec<Option<ParallelNet>> = vec![None; specs.len()];
-    let mut pending: Vec<usize> = (0..specs.len()).collect();
-    let mut failed: Vec<usize> = Vec::new();
-    let mut rounds = 0usize;
-    let mut conflicts = 0usize;
-    let mut stalled = 0usize;
-    let mut attempts: Vec<u64> = vec![0; specs.len()];
-
-    while !pending.is_empty() && stalled < cfg.max_stalled_rounds {
-        rounds += 1;
-        let mut round_span = obs.span("parallel.round");
-        round_span.note(pending.len() as u64);
-        for &i in &pending {
-            attempts[i] += 1;
+    let mut engine = Engine::new(dev, &db, jobs, &cfg.maze, exec, &pool, obs, "parallel.net");
+    let mut nets = Vec::with_capacity(specs.len());
+    let mut failed = Vec::new();
+    for k in 0..specs.len() {
+        match engine.commit(k, &mut db) {
+            Ok(done) => nets.extend(done.added.into_iter().map(|(_, net)| net)),
+            Err(_) => failed.push(k),
         }
-        // Partition the round's nets into bbox-disjoint waves and flatten
-        // the plan into one dispatch order: wave k's nets precede wave
-        // k+1's. Unlike the negotiator, the claim CAS — not a wave
-        // barrier — enforces exclusivity here, so the whole round runs as
-        // a single scheduler dispatch (no per-wave spawn or convoy on
-        // each wave's slowest net); the wave ordering means nets whose
-        // regions overlap tend not to be in flight simultaneously, which
-        // is what turns same-round claim collisions (the deferrals that
-        // force extra rounds) into rarities. Each worker claims segments
-        // as it routes, so nets commit mid-round and later searches (on
-        // every thread) steer around them.
-        let boxes: Vec<BBox> = pending
-            .iter()
-            .map(|&i| net_search_box(dev, &specs[i]))
-            .collect();
-        let plan = partition::partition_waves(&boxes);
-        c_waves.add(plan.waves.len() as u64);
-        for wave in &plan.waves {
-            h_wave_size.record(wave.len() as u64);
-        }
-        let tasks: Vec<u64> = plan
-            .waves
-            .iter()
-            .flatten()
-            .map(|&k| pending[k] as u64)
-            .collect();
-        let run = exec.run_wave(
-            &tasks,
-            |_| WorkerCtx {
-                scratch: pool.lease(dev),
-                // Cross-thread causal link: every worker span (and thus
-                // every net it routes, stolen or not) carries the run's
-                // trace and points back at `parallel.route`.
-                span: obs.span_ctx("parallel.worker", root_ctx),
-                attempted: 0,
-            },
-            |ctx, task| {
-                ctx.attempted += 1;
-                let net_ctx = ctx.span.ctx();
-                route_one_claiming(
-                    dev,
-                    &specs[task as usize],
-                    task as u32,
-                    &claims,
-                    &cfg.maze,
-                    &mut ctx.scratch,
-                    || false,
-                    net_ctx,
-                    obs,
-                )
-            },
-        );
-        c_steals.add(run.steals);
-        let mut results: Vec<(u64, RouteOutcome)> = run.results;
-        results.sort_by_key(|(i, _)| *i);
-
-        let mut next_pending = Vec::new();
-        let mut progressed = false;
-        for (i, res) in results {
-            let i = i as usize;
-            match res {
-                RouteOutcome::Committed(net) => {
-                    done[i] = Some(*net);
-                    c_commits.inc();
-                    progressed = true;
-                }
-                RouteOutcome::Deferred => {
-                    conflicts += 1;
-                    c_conflicts.inc();
-                    next_pending.push(i);
-                }
-                // No cancellation probe is wired here, so Cancelled is
-                // unreachable; treat it like a deferral if it ever is.
-                RouteOutcome::Cancelled => next_pending.push(i),
-                RouteOutcome::Failed => {
-                    failed.push(i);
-                    c_failed.inc();
-                    progressed = true;
-                }
-            }
-        }
-        stalled = if progressed { 0 } else { stalled + 1 };
-        pending = next_pending;
     }
-    failed.extend(pending);
-    failed.sort_unstable();
-    for &n in attempts.iter().filter(|&&n| n > 0) {
-        h_attempts.record(n);
-    }
-    c_rounds.add(rounds as u64);
-    run_span.note(rounds as u64);
+    let stats = engine.stats();
+    obs.counter("parallel.waves").add(stats.waves);
+    obs.counter("parallel.researched").add(stats.researched);
+    obs.counter("parallel.steals").add(stats.steals);
+    obs.counter("parallel.nets_failed").add(failed.len() as u64);
     ParallelResult {
-        nets: done.into_iter().flatten().collect(),
+        nets,
         failed,
-        rounds,
-        conflicts,
+        waves: stats.waves,
+        researched: stats.researched,
     }
 }
 
@@ -585,7 +587,6 @@ pub fn route_parallel_obs(
 mod tests {
     use super::*;
     use crate::endpoint::Pin;
-    use std::cell::Cell;
     use virtex::{wire, Device, Family};
 
     fn dev() -> Device {
@@ -637,43 +638,40 @@ mod tests {
 
     #[test]
     fn single_thread_matches_multi_thread_coverage() {
-        let dev = dev();
-        let specs = grid_specs(8);
-        let seq = route_parallel(
-            &dev,
-            &specs,
-            &ParallelConfig {
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        let par = route_parallel(
-            &dev,
-            &specs,
-            &ParallelConfig {
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(seq.nets.len(), par.nets.len());
+        let dev = Device::new(Family::Xcv300);
+        // Spread over the larger device so waves really run threaded.
+        let specs: Vec<NetSpec> = (0..24)
+            .map(|i| {
+                let r = (2 + (i / 6) * 7) as u16;
+                let c = (2 + (i % 6) * 7) as u16;
+                NetSpec::new(
+                    Pin::new(r, c, wire::S0_YQ),
+                    vec![Pin::new(r + 2, c + 3, wire::S0_F3)],
+                )
+            })
+            .collect();
+        let run = |threads| {
+            route_parallel(
+                &dev,
+                &specs,
+                &ParallelConfig {
+                    threads,
+                    ..Default::default()
+                },
+            )
+        };
+        let (seq, par) = (run(1), run(4));
         assert_eq!(seq.failed, par.failed);
-    }
-
-    #[test]
-    fn chunked_scheduler_still_routes_everything() {
-        let dev = dev();
-        let specs = grid_specs(10);
-        let r = route_parallel(
-            &dev,
-            &specs,
-            &ParallelConfig {
-                threads: 4,
-                scheduler: SchedulerKind::Chunked,
-                ..Default::default()
-            },
+        assert_eq!(seq.waves, par.waves);
+        assert_eq!(seq.researched, par.researched);
+        let key = |r: &ParallelResult| -> Vec<Vec<Segment>> {
+            r.nets.iter().map(|n| n.segments.clone()).collect()
+        };
+        assert_eq!(key(&seq), key(&par), "identical routes at every width");
+        assert!(
+            seq.waves < specs.len() as u64,
+            "some waves hold several nets"
         );
-        assert!(r.failed.is_empty(), "failed: {:?}", r.failed);
-        assert_eq!(r.nets.len(), 10);
     }
 
     #[test]
@@ -699,86 +697,5 @@ mod tests {
                 assert!(bits.segment_drivers(*seg).len() <= 1);
             }
         }
-    }
-
-    #[test]
-    fn cancellation_mid_search_releases_every_claim() {
-        let dev = dev();
-        let src = Pin::new(2, 2, wire::S0_YQ);
-        let sink1 = Pin::new(4, 6, wire::S0_F3);
-        let sink2 = Pin::new(8, 12, wire::S1_F1);
-        // Calibrate: count the cancel probes a clean single-sink route
-        // makes, so the real run can be cancelled just after the first
-        // branch has committed its claims — i.e. provably mid-route,
-        // during the second sink's search.
-        let calibration = Cell::new(0u64);
-        {
-            let claims = ClaimTable::new(dev.seg_space());
-            let mut scratch = MazeScratch::new(&dev);
-            let out = route_one_claiming(
-                &dev,
-                &NetSpec::new(src, vec![sink1]),
-                9,
-                &claims,
-                &MazeConfig::default(),
-                &mut scratch,
-                || {
-                    calibration.set(calibration.get() + 1);
-                    false
-                },
-                TraceCtx::NONE,
-                &Recorder::disabled(),
-            );
-            assert!(matches!(out, RouteOutcome::Committed(_)));
-        }
-        let threshold = calibration.get() + 50;
-
-        let claims = ClaimTable::new(dev.seg_space());
-        let mut scratch = MazeScratch::new(&dev);
-        let probes = Cell::new(0u64);
-        let out = route_one_claiming(
-            &dev,
-            &NetSpec::new(src, vec![sink1, sink2]),
-            7,
-            &claims,
-            &MazeConfig::default(),
-            &mut scratch,
-            || {
-                probes.set(probes.get() + 1);
-                probes.get() > threshold
-            },
-            TraceCtx::NONE,
-            &Recorder::disabled(),
-        );
-        assert!(matches!(out, RouteOutcome::Cancelled), "got {out:?}");
-        assert_eq!(
-            claims.claimed().count(),
-            0,
-            "cancelled request leaked claims (first branch must roll back too)"
-        );
-    }
-
-    #[test]
-    fn cancel_before_start_claims_nothing() {
-        let dev = dev();
-        let claims = ClaimTable::new(dev.seg_space());
-        let mut scratch = MazeScratch::new(&dev);
-        let spec = NetSpec::new(
-            Pin::new(2, 2, wire::S0_YQ),
-            vec![Pin::new(4, 6, wire::S0_F3)],
-        );
-        let out = route_one_claiming(
-            &dev,
-            &spec,
-            1,
-            &claims,
-            &MazeConfig::default(),
-            &mut scratch,
-            || true,
-            TraceCtx::NONE,
-            &Recorder::disabled(),
-        );
-        assert!(matches!(out, RouteOutcome::Cancelled));
-        assert_eq!(claims.claimed().count(), 0);
     }
 }

@@ -1,9 +1,10 @@
 //! Partition → dispatch support for the unified negotiated router.
 //!
-//! The incremental PathFinder negotiator and the claim-table router both
-//! confine each net's maze searches to a box around its terminals. This
-//! module makes that box a first-class object ([`SearchBox`], one growth
-//! policy shared by every call site) and builds on it the observation
+//! The incremental PathFinder negotiator and the ordered routing engine
+//! ([`crate::parallel`]) both confine each net's maze searches to a box
+//! around its terminals. This module makes that box a first-class
+//! object ([`SearchBox`], one growth policy shared by every call site)
+//! and builds on it the observation
 //! that makes negotiation parallelizable at all: **nets whose search
 //! regions are disjoint cannot interact** — their searches read disjoint
 //! congestion state and their routes occupy disjoint segments — so they

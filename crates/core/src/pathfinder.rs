@@ -27,7 +27,7 @@ use crate::endpoint::Pin;
 use crate::error::{Result, RouteError};
 use crate::maze::{self, MazeConfig, MazeScratch, CRIT_ONE};
 use crate::partition::{self, ScratchPool, SearchBox};
-use crate::schedule::{SchedulerKind, WaveExec};
+use crate::schedule::WaveExec;
 use crate::steiner;
 use jbits::{Bitstream, Pip};
 use jroute_obs::{Counter, Recorder};
@@ -246,13 +246,6 @@ pub struct PathFinderConfig {
     /// nets whose search regions are disjoint, so thread count changes
     /// wall clock, never results.
     pub threads: usize,
-    /// How each wave's nets are spread over the workers.
-    pub scheduler: SchedulerKind,
-    /// Execute waves inline in net order on the calling thread even when
-    /// `threads > 1` — the replayable schedule for the service's
-    /// deterministic mode (results are unchanged either way; this pins
-    /// the telemetry interleaving too).
-    pub deterministic: bool,
     /// Timing-driven negotiation. `None` (the default) is the pure
     /// congestion cost, bit-identical to the pre-timing router; `Some`
     /// folds per-sink criticality into every search and dispatches
@@ -279,8 +272,6 @@ impl Default for PathFinderConfig {
             bbox_margin: Some(partition::DEFAULT_MARGIN),
             adaptive_pres: true,
             threads: 1,
-            scheduler: SchedulerKind::default(),
-            deterministic: false,
             timing: None,
         }
     }
@@ -427,8 +418,6 @@ pub fn route_all_obs(
     let pool = ScratchPool::new();
     let exec = WaveExec {
         threads: cfg.threads.max(1),
-        scheduler: cfg.scheduler,
-        deterministic: cfg.deterministic,
     };
     // Waves require every dirty net to carry a search region that really
     // confines its search: long lines are bbox-exempt in the maze, so a

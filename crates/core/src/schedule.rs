@@ -1,6 +1,6 @@
-//! Work distribution: per-worker work-stealing deques and the
-//! [`Scheduler`] abstraction the parallel router and the batch service
-//! front-end (`jroute-svc`) schedule over.
+//! Work distribution: per-worker work-stealing deques, the wave
+//! executor the routing engine and the negotiated router dispatch
+//! through, and the thread budget the multi-tenant server shares.
 //!
 //! The original parallel router fanned each round's pending nets out in
 //! static chunks, one per worker. Net route times vary by orders of
@@ -11,10 +11,9 @@
 //! safe code; [`StealScheduler`] runs one deque per worker and lets idle
 //! workers steal from the top of their neighbours'.
 //!
-//! Tasks are plain `u64` payloads (indices into a caller-side slice, or
-//! packed `attempts<<32 | index` words in the service layer). That keeps
-//! every deque slot a single `AtomicU64`: no ownership moves through the
-//! deque, so the whole structure needs no `unsafe` — lost races are
+//! Tasks are plain `u64` payloads (indices into a caller-side slice).
+//! That keeps every deque slot a single `AtomicU64`: no ownership moves
+//! through the deque, so the whole structure needs no `unsafe` — lost races are
 //! handled entirely by the compare-and-swap on `top`.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -25,13 +24,11 @@ pub struct DequeFull;
 
 /// A bounded single-owner, multi-thief work-stealing deque of `u64`s.
 ///
-/// * the **owner** pushes and pops at the *bottom* (LIFO — freshly
-///   deferred work is retried last);
+/// * the **owner** pushes and pops at the *bottom* (LIFO);
 /// * **thieves** steal from the *top* (FIFO — the oldest work migrates,
 ///   which is what makes stealing fair);
 /// * capacity is fixed at construction and [`push`](Self::push) fails
-///   with [`DequeFull`] rather than reallocating, which doubles as the
-///   service layer's bounded-queue backpressure.
+///   with [`DequeFull`] rather than reallocating.
 ///
 /// This is the Chase–Lev shape restricted to a bounded ring of plain
 /// `Copy` words. Rejecting pushes at `capacity` is what makes the safe
@@ -45,7 +42,7 @@ pub struct DequeFull;
 /// operation is memory-safe regardless, but concurrent owners could
 /// duplicate or lose tasks. All orderings are `SeqCst`; task words are
 /// tiny and the deque is nowhere near the routing hot path (one
-/// push/pop pair per *net*, against thousands of atomic claim probes).
+/// push/pop pair per *net*, against thousands of maze probes).
 #[derive(Debug)]
 pub struct StealDeque {
     /// Next slot a thief will steal from (only ever increments).
@@ -153,66 +150,14 @@ impl StealDeque {
     }
 }
 
-/// Aggregate outcome of one [`Scheduler::run`] call.
+/// Aggregate outcome of one [`StealScheduler::run`] call.
 #[derive(Debug)]
 pub struct SchedulerRun<R> {
     /// `(task, result)` pairs, in whatever order workers finished them.
     pub results: Vec<(u64, R)>,
     /// Tasks executed on a worker other than the one they were assigned
-    /// to (always 0 for [`ChunkedScheduler`]).
+    /// to.
     pub steals: u64,
-}
-
-/// Strategy for executing a fixed batch of tasks across worker threads.
-///
-/// `init` runs once on each worker thread to build its private state
-/// (maze scratch, obs span, …); `work` is then called for every task the
-/// worker executes. Workers run under `std::thread::scope`, so both may
-/// borrow from the caller's stack.
-pub trait Scheduler {
-    /// Execute every task in `tasks` exactly once over `threads` workers.
-    fn run<S, R, IS, W>(&self, threads: usize, tasks: &[u64], init: IS, work: W) -> SchedulerRun<R>
-    where
-        R: Send,
-        S: Send,
-        IS: Fn(usize) -> S + Sync,
-        W: Fn(&mut S, u64) -> R + Sync;
-}
-
-/// Static assignment: task list split into `threads` contiguous chunks,
-/// one per worker. No coordination after spawn — and no help for a
-/// worker whose chunk happens to hold all the slow tasks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChunkedScheduler;
-
-impl Scheduler for ChunkedScheduler {
-    fn run<S, R, IS, W>(&self, threads: usize, tasks: &[u64], init: IS, work: W) -> SchedulerRun<R>
-    where
-        R: Send,
-        S: Send,
-        IS: Fn(usize) -> S + Sync,
-        W: Fn(&mut S, u64) -> R + Sync,
-    {
-        let threads = threads.max(1);
-        let chunk = tasks.len().div_ceil(threads).max(1);
-        let mut results = Vec::with_capacity(tasks.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (w, part) in tasks.chunks(chunk).enumerate() {
-                let (init, work) = (&init, &work);
-                handles.push(scope.spawn(move || {
-                    let mut state = init(w);
-                    part.iter()
-                        .map(|&task| (task, work(&mut state, task)))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                results.extend(h.join().expect("scheduler worker panicked"));
-            }
-        });
-        SchedulerRun { results, steals: 0 }
-    }
 }
 
 /// Work-stealing assignment: tasks are striped across one [`StealDeque`]
@@ -220,11 +165,23 @@ impl Scheduler for ChunkedScheduler {
 /// empty, sweeps its neighbours' tops. A worker exits once every deque is
 /// empty — no new tasks appear during a run, so an empty sweep is a
 /// proof of completion.
+///
+/// `init` runs once on each worker thread to build its private state
+/// (maze scratch, obs span, …); `work` is then called for every task the
+/// worker executes. Workers run under `std::thread::scope`, so both may
+/// borrow from the caller's stack.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StealScheduler;
 
-impl Scheduler for StealScheduler {
-    fn run<S, R, IS, W>(&self, threads: usize, tasks: &[u64], init: IS, work: W) -> SchedulerRun<R>
+impl StealScheduler {
+    /// Execute every task in `tasks` exactly once over `threads` workers.
+    pub fn run<S, R, IS, W>(
+        &self,
+        threads: usize,
+        tasks: &[u64],
+        init: IS,
+        work: W,
+    ) -> SchedulerRun<R>
     where
         R: Send,
         S: Send,
@@ -276,62 +233,21 @@ impl Scheduler for StealScheduler {
     }
 }
 
-/// Scheduler selection for [`crate::parallel::ParallelConfig`] and the
-/// service layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Static contiguous chunks ([`ChunkedScheduler`]).
-    Chunked,
-    /// Per-worker deques with stealing ([`StealScheduler`]) — the
-    /// default.
-    #[default]
-    WorkStealing,
-}
-
-impl SchedulerKind {
-    /// Dispatch to the selected scheduler implementation.
-    pub fn run<S, R, IS, W>(
-        self,
-        threads: usize,
-        tasks: &[u64],
-        init: IS,
-        work: W,
-    ) -> SchedulerRun<R>
-    where
-        R: Send,
-        S: Send,
-        IS: Fn(usize) -> S + Sync,
-        W: Fn(&mut S, u64) -> R + Sync,
-    {
-        match self {
-            SchedulerKind::Chunked => ChunkedScheduler.run(threads, tasks, init, work),
-            SchedulerKind::WorkStealing => StealScheduler.run(threads, tasks, init, work),
-        }
-    }
-}
-
-/// Wave-barrier dispatch: how the unified negotiated router executes
-/// one conflict-free wave of net searches.
+/// Wave-barrier dispatch: how the routing engine and the negotiated
+/// router execute one conflict-free wave of net searches.
 ///
 /// A wave's tasks are mutually independent by construction (their
 /// search boxes are disjoint), so *what* they compute never depends on
 /// the schedule — only wall clock does. `run_wave` exploits that:
 /// results always come back sorted in task-submission order (the commit
-/// barrier wants a fixed order), tiny waves and `threads == 1` execute
-/// inline on the calling thread with zero spawn cost, and
-/// [`WaveExec::deterministic`] forces the inline path even for large
-/// waves, giving the service's deterministic mode a replayable
-/// single-consumer schedule (identical results, identical telemetry
-/// interleaving).
+/// barrier wants a fixed order), and tiny waves and `threads == 1`
+/// execute inline on the calling thread with zero spawn cost. Larger
+/// waves run on [`StealScheduler`] workers, because net search times
+/// are wildly skewed.
 #[derive(Debug, Clone, Copy)]
 pub struct WaveExec {
     /// Worker threads available to a wave (clamped to the wave size).
     pub threads: usize,
-    /// How a threaded wave's tasks are spread over the workers.
-    pub scheduler: SchedulerKind,
-    /// Execute every wave inline in task order on the calling thread,
-    /// regardless of `threads`.
-    pub deterministic: bool,
 }
 
 impl WaveExec {
@@ -344,14 +260,14 @@ impl WaveExec {
         IS: Fn(usize) -> S + Sync,
         W: Fn(&mut S, u64) -> R + Sync,
     {
-        if self.deterministic || self.threads <= 1 || tasks.len() <= 1 {
+        if self.threads <= 1 || tasks.len() <= 1 {
             let mut state = init(0);
             return SchedulerRun {
                 results: tasks.iter().map(|&t| (t, work(&mut state, t))).collect(),
                 steals: 0,
             };
         }
-        let mut run = self.scheduler.run(self.threads, tasks, init, work);
+        let mut run = StealScheduler.run(self.threads, tasks, init, work);
         let order: std::collections::HashMap<u64, usize> =
             tasks.iter().enumerate().map(|(k, &t)| (t, k)).collect();
         run.results.sort_by_key(|(t, _)| order[t]);
@@ -513,51 +429,45 @@ mod tests {
         assert_eq!(got, (0..n).collect::<Vec<_>>(), "each task exactly once");
     }
 
-    fn exercise(kind: SchedulerKind, threads: usize, n: u64) {
+    fn exercise(threads: usize, n: u64) {
         let tasks: Vec<u64> = (0..n).collect();
-        let run = kind.run(
-            threads,
-            &tasks,
-            |w| w,
-            |&mut w, task| {
-                assert!(w < threads.max(1));
-                task * 2
-            },
-        );
-        assert_eq!(run.results.len(), tasks.len());
-        let ids: HashSet<u64> = run.results.iter().map(|&(t, _)| t).collect();
-        assert_eq!(ids.len(), tasks.len(), "every task ran exactly once");
-        assert!(run.results.iter().all(|&(t, r)| r == t * 2));
+        let work = |w: &mut usize, task: u64| {
+            assert!(*w < threads.max(1));
+            task * 2
+        };
+        let runs = [
+            StealScheduler.run(threads, &tasks, |w| w, work),
+            WaveExec { threads }.run_wave(&tasks, |w| w, work),
+        ];
+        for run in runs {
+            assert_eq!(run.results.len(), tasks.len());
+            let ids: HashSet<u64> = run.results.iter().map(|&(t, _)| t).collect();
+            assert_eq!(ids.len(), tasks.len(), "every task ran exactly once");
+            assert!(run.results.iter().all(|&(t, r)| r == t * 2));
+        }
     }
 
+    /// The stealing scheduler and the wave executor (inline at one
+    /// thread, stealing above) each run every task exactly once.
     #[test]
     fn both_schedulers_run_every_task_once() {
-        for kind in [SchedulerKind::Chunked, SchedulerKind::WorkStealing] {
-            for threads in [1, 3, 8] {
-                exercise(kind, threads, 100);
-            }
+        for threads in [1, 3, 8] {
+            exercise(threads, 100);
         }
     }
 
     #[test]
     fn schedulers_handle_empty_and_tiny_batches() {
-        for kind in [SchedulerKind::Chunked, SchedulerKind::WorkStealing] {
-            exercise(kind, 4, 0);
-            exercise(kind, 4, 1);
-            exercise(kind, 1, 5);
-        }
+        exercise(4, 0);
+        exercise(4, 1);
+        exercise(1, 5);
     }
 
     #[test]
     fn run_wave_returns_results_in_task_order() {
         let tasks: Vec<u64> = [9u64, 3, 7, 1, 5, 0, 8, 2, 6, 4].to_vec();
-        for (threads, deterministic) in [(1, false), (4, false), (4, true)] {
-            let exec = WaveExec {
-                threads,
-                scheduler: SchedulerKind::default(),
-                deterministic,
-            };
-            let run = exec.run_wave(
+        for threads in [1, 4] {
+            let run = WaveExec { threads }.run_wave(
                 &tasks,
                 |_| (),
                 |_, t| {
@@ -569,7 +479,7 @@ mod tests {
             );
             let got: Vec<(u64, u64)> = run.results;
             let want: Vec<(u64, u64)> = tasks.iter().map(|&t| (t, t * 10)).collect();
-            assert_eq!(got, want, "threads={threads} det={deterministic}");
+            assert_eq!(got, want, "threads={threads}");
         }
     }
 

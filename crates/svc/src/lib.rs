@@ -4,24 +4,24 @@
 //! router a *service*: cores come and go while the design runs, and each
 //! change is a burst of route / unroute / replace operations whose
 //! latency is application latency. This crate provides that front-end
-//! over the optimistic parallel router in `jroute::parallel`:
+//! over the ordered routing engine in `jroute::parallel`:
 //!
 //! * a bounded submission queue ([`RoutingService::submit`]) with
 //!   backpressure ([`QueueFull`]), per-request ids, priorities and
 //!   deadlines;
-//! * batch execution ([`RoutingService::run_batch`]) over per-worker
-//!   work-stealing deques ([`jroute::schedule::StealDeque`]), with
-//!   deferred requests (lost claim races) retried through a shared
-//!   injector queue;
-//! * cancellation ([`CancelToken`]) and deadline expiry with exact
-//!   request-scoped rollback: an abandoned request releases every
-//!   segment it claimed, mid-search included;
-//! * a deterministic mode ([`ExecMode::Deterministic`]) in which the
-//!   whole schedule is a pure function of the seed — the completion log
-//!   can be replayed through [`model::SequentialModel`] and must
-//!   reproduce the service's net database exactly;
-//! * `jroute-obs` spans and counters for queue depth, steals, retries,
-//!   and per-request latency histograms.
+//! * batch execution ([`RoutingService::run_batch`]): requests commit
+//!   one at a time in `(priority, submission)` order, while their maze
+//!   searches run in parallel waves of requests whose search regions
+//!   are disjoint;
+//! * cancellation ([`CancelToken`]) and deadline expiry: an abandoned
+//!   request stops searching and changes nothing, and a `Replace`
+//!   changes the database only once every replacement has a path;
+//! * determinism by construction: a batch is a serialization in
+//!   `(priority, submission)` order at every worker count, so replaying
+//!   its log through [`model::SequentialModel`] reproduces the service's
+//!   net database exactly;
+//! * `jroute-obs` spans and counters for queue depth, waves, stale
+//!   re-searches and per-request latency.
 //!
 //! ```
 //! use jroute_svc::{RequestKind, RoutingService, ServiceConfig};
@@ -41,7 +41,6 @@
 //! assert!(report.outcome(id).unwrap().is_success());
 //! ```
 
-mod exec;
 pub mod model;
 mod request;
 pub mod server;
@@ -52,57 +51,38 @@ pub use request::{
     RequestKind, RequestOutcome, TenantId,
 };
 pub use server::{
-    serve, FaultPlan, ServerClient, ServerConfig, ServerLogEntry, ServerOutcome, ServerReport,
-    TenantHandle, TenantReport, Ticket,
+    serve, ExecMode, FaultPlan, ServerClient, ServerConfig, ServerLogEntry, ServerOutcome,
+    ServerReport, TenantHandle, TenantReport, Ticket,
 };
 pub use trace::{ReplaySummary, Trace, TraceError, TraceId, TraceOp, TraceReq};
 
-use exec::{Batch, Done, PrepKind, TaskDone, BATCH_BASE};
 use jroute::maze::MazeConfig;
-use jroute::parallel::{ClaimTable, ParallelNet};
+use jroute::parallel::{Abandon, Committed, Engine, Job, RouteFail};
 use jroute::pathfinder::{self, NetSpec, PathFinderConfig, PathFinderResult};
-use jroute::{NetDb, NetId};
+use jroute::schedule::WaveExec;
+use jroute::{NetDb, NetId, ScratchPool};
 use jroute_obs::{Aggregator, Counter, Gauge, Histo, Recorder};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use virtex::{Device, SegIdx};
-
-/// How a batch executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Real worker threads; schedule and completion order are
-    /// nondeterministic, throughput is real.
-    Threaded,
-    /// Single-consumer replayable schedule seeded from `detrand`: the
-    /// same seed, batch and thread count reproduce the identical
-    /// schedule, completion log and final database.
-    Deterministic {
-        /// Schedule seed.
-        seed: u64,
-    },
-}
+use std::time::Instant;
+use virtex::Device;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker count (deques exist in both modes; threads are only real
-    /// in [`ExecMode::Threaded`]).
+    /// Worker threads a batch's search waves run on. Results are the
+    /// same at every width.
     pub threads: usize,
     /// Maze options shared by every request.
     pub maze: MazeConfig,
     /// Bounded submission-queue capacity; [`RoutingService::submit`]
     /// fails with [`QueueFull`] beyond it.
     pub queue_capacity: usize,
-    /// Executions (first try + retries) before a request that keeps
-    /// losing claim races is reported [`RequestOutcome::Congested`].
-    pub max_attempts: u32,
-    /// Execution mode.
-    pub mode: ExecMode,
-    /// After each batch, scan the claim table against the net database
-    /// and report disagreements in [`BatchReport::leaked_claims`]. An
-    /// O(segment-space) scan — cheap next to routing, but off by default
-    /// for benches.
+    /// After each batch, check the net database against the nets the
+    /// committed requests hold and report disagreements in
+    /// [`BatchReport::leaked_segments`]. An O(segment-space) scan —
+    /// cheap next to routing, but off by default for benches.
     pub audit: bool,
 }
 
@@ -114,8 +94,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(4),
             maze: MazeConfig::default(),
             queue_capacity: 1024,
-            max_attempts: 8,
-            mode: ExecMode::Threaded,
             audit: cfg!(debug_assertions),
         }
     }
@@ -134,10 +112,12 @@ pub struct RoutingService<'d> {
     committed: HashMap<RequestId, Vec<NetId>>,
     next_id: RequestId,
     next_seq: u64,
+    /// Maze scratch kept across batches, so a batch allocates none.
+    pool: ScratchPool,
     obs: Recorder,
     meters: SvcMeters,
     /// Rolling per-batch time-series (queue depth, batch latency
-    /// quantiles, steal/retry rates) — `Some` iff the recorder is
+    /// quantiles, wave and re-search rates) — `Some` iff the recorder is
     /// enabled; ticked once at the end of every `run_batch`.
     window: Option<Aggregator>,
 }
@@ -148,10 +128,12 @@ pub struct RoutingService<'d> {
 struct SvcMeters {
     batches: Counter,
     executed: Counter,
+    waves: Counter,
     steals: Counter,
-    retries: Counter,
+    researched: Counter,
     queue_depth: Gauge,
     batch_ns: Histo,
+    request_ns: Histo,
 }
 
 impl SvcMeters {
@@ -159,16 +141,67 @@ impl SvcMeters {
         SvcMeters {
             batches: obs.counter("svc.batches"),
             executed: obs.counter("svc.executed"),
+            waves: obs.counter("svc.waves"),
             steals: obs.counter("svc.steals"),
-            retries: obs.counter("svc.retries"),
+            researched: obs.counter("svc.researched"),
             queue_depth: obs.gauge("svc.queue_depth_now"),
             batch_ns: obs.histogram("svc.batch_ns"),
+            request_ns: obs.histogram("svc.request_ns"),
         }
     }
 }
 
 /// How many per-batch samples the service's rolling window retains.
 const WINDOW_SAMPLES: usize = 256;
+
+/// Whether a request at commit step `step` of a batch started at
+/// `started` is past its deadline.
+fn expired(deadline: Option<Deadline>, step: usize, started: Instant) -> bool {
+    match deadline {
+        None => false,
+        Some(Deadline::Steps(s)) => step as u64 >= s,
+        Some(Deadline::Elapsed(d)) => started.elapsed() >= d,
+    }
+}
+
+/// The committed requests `kind` tears down.
+fn targets(kind: &RequestKind) -> &[RequestId] {
+    match kind {
+        RequestKind::Route(_) => &[],
+        RequestKind::Unroute(t) => std::slice::from_ref(t),
+        RequestKind::Replace { remove, .. } => remove,
+    }
+}
+
+/// Record a committed request in the victim namespace and describe it.
+fn record(
+    committed: &mut HashMap<RequestId, Vec<NetId>>,
+    req: &Request,
+    done: Committed,
+) -> RequestOutcome {
+    for t in targets(&req.kind) {
+        committed.remove(t);
+    }
+    let added: Vec<NetId> = done.added.iter().map(|&(id, _)| id).collect();
+    match &req.kind {
+        RequestKind::Route(_) => {
+            let (net, routed) = &done.added[0];
+            committed.insert(req.id, added);
+            RequestOutcome::Routed {
+                net: *net,
+                segments: routed.segments.len() + 1,
+            }
+        }
+        RequestKind::Unroute(_) => RequestOutcome::Unrouted { nets: done.removed },
+        RequestKind::Replace { .. } => {
+            committed.insert(req.id, added.clone());
+            RequestOutcome::Replaced {
+                removed: done.removed,
+                added,
+            }
+        }
+    }
+}
 
 impl<'d> RoutingService<'d> {
     /// New service over one device with a disabled recorder.
@@ -185,8 +218,9 @@ impl<'d> RoutingService<'d> {
             w.track_gauge("svc.queue_depth", meters.queue_depth.clone());
             w.track_histogram("svc.batch_ns", meters.batch_ns.clone());
             w.track_counter("svc.executed", meters.executed.clone());
+            w.track_counter("svc.waves", meters.waves.clone());
             w.track_counter("svc.steals", meters.steals.clone());
-            w.track_counter("svc.retries", meters.retries.clone());
+            w.track_counter("svc.researched", meters.researched.clone());
             w.track_counter(
                 "pathfinder.nets_rerouted",
                 obs.counter("pathfinder.nets_rerouted"),
@@ -225,6 +259,7 @@ impl<'d> RoutingService<'d> {
             committed: HashMap::new(),
             next_id: 0,
             next_seq: 0,
+            pool: ScratchPool::new(),
             obs,
             meters,
             window,
@@ -249,10 +284,9 @@ impl<'d> RoutingService<'d> {
         self.cfg.maze = maze;
     }
 
-    /// Resize the worker set future batches schedule over — how the
+    /// Resize the worker set future batches search on — how the
     /// multi-tenant server applies its per-batch [`ThreadBudget`]
-    /// lease. Never changes deterministic-mode results *within* a fixed
-    /// width; the server only calls it in threaded mode.
+    /// lease. Never changes results.
     ///
     /// [`ThreadBudget`]: jroute::schedule::ThreadBudget
     pub(crate) fn set_threads(&mut self, threads: usize) {
@@ -264,12 +298,9 @@ impl<'d> RoutingService<'d> {
         &self.obs
     }
 
-    /// Run the unified partition-parallel negotiator over `specs` under
-    /// the service's execution policy: the service's worker count, and
-    /// the inline replayable wave schedule when the service runs in
-    /// [`ExecMode::Deterministic`] (results are identical either way —
-    /// the engine is deterministic by construction — but the schedule,
-    /// and hence the telemetry interleaving, is pinned).
+    /// Run the unified partition-parallel negotiator over `specs` on the
+    /// service's worker count (results are identical at every width —
+    /// the engine is deterministic by construction).
     ///
     /// This is how `Replace`-heavy scenarios cross-check their live
     /// demand (see the churn workload): the negotiation shares the
@@ -282,7 +313,6 @@ impl<'d> RoutingService<'d> {
     ) -> jroute::Result<PathFinderResult> {
         let cfg = PathFinderConfig {
             threads: self.cfg.threads,
-            deterministic: matches!(self.cfg.mode, ExecMode::Deterministic { .. }),
             ..cfg.clone()
         };
         pathfinder::route_all_obs(self.dev, specs, &cfg, &self.obs)
@@ -290,8 +320,9 @@ impl<'d> RoutingService<'d> {
 
     /// The rolling per-batch time-series (one sample appended at the end
     /// of every non-empty `run_batch`): queue depth at submission peak,
-    /// batch latency p50/p99, steal/retry/executed deltas and nets
-    /// rerouted by negotiation. `None` when the recorder is disabled.
+    /// batch latency p50/p99, executed/wave/steal/re-search deltas and
+    /// nets rerouted by negotiation. `None` when the recorder is
+    /// disabled.
     pub fn window(&self) -> Option<&Aggregator> {
         self.window.as_ref()
     }
@@ -343,8 +374,9 @@ impl<'d> RoutingService<'d> {
         let id = self.next_id;
         self.next_id += 1;
         // Mint the request's causal root here, at submission: everything
-        // the request causes — exec attempts, maze searches, stolen
-        // continuations — links back to this span's trace id.
+        // the request causes — its search on whichever worker, a commit
+        // re-search, every maze search — links back to this span's trace
+        // id.
         let mut root = self.obs.span_root("svc.request");
         root.note(id);
         self.pending.push_back(Request {
@@ -374,13 +406,16 @@ impl<'d> RoutingService<'d> {
 
     /// Drain the queue and execute everything as one batch.
     ///
-    /// Requests run in priority order (ties by submission order) subject
-    /// to stealing; successful requests are committed to the database,
-    /// everything else leaves no trace. The report carries one terminal
-    /// outcome per drained request plus the completion log.
+    /// Requests commit one at a time in priority order (ties by
+    /// submission order), each against the state every earlier request
+    /// left; their searches run ahead in parallel waves
+    /// ([`jroute::parallel::Engine`]). Successful requests change the
+    /// database, everything else leaves no trace. The report carries one
+    /// terminal outcome per drained request plus the commit log.
     pub fn run_batch(&mut self) -> BatchReport {
         let mut span = self.obs.span_root("svc.batch");
         let batch_started = self.obs.elapsed_ns();
+        let started = Instant::now();
         // The gauge keeps the pre-drain depth until after the window
         // tick, so each sample reports the depth this batch consumed.
         let mut requests: Vec<Request> = self.pending.drain(..).collect();
@@ -390,45 +425,105 @@ impl<'d> RoutingService<'d> {
             return BatchReport {
                 outcomes: Vec::new(),
                 log: Vec::new(),
-                executed: 0,
-                steals: 0,
-                retries: 0,
-                leaked_claims: self.cfg.audit.then_some(0),
+                researched: 0,
+                leaked_segments: self.cfg.audit.then_some(0),
             };
         }
 
-        let batch = self.prepare(&requests);
-        let (mut dones, stats) = match self.cfg.mode {
-            ExecMode::Threaded => exec::run_threaded(
-                self.dev,
-                &batch,
-                self.cfg.threads,
-                &self.cfg.maze,
-                self.cfg.max_attempts,
-                span.ctx(),
-                &self.obs,
-            ),
-            ExecMode::Deterministic { seed } => exec::run_deterministic(
-                self.dev,
-                &batch,
-                self.cfg.threads,
-                &self.cfg.maze,
-                self.cfg.max_attempts,
-                seed,
-                span.ctx(),
-                &self.obs,
-            ),
+        // Victims resolve against the commitments the batch starts from;
+        // the commit loop below re-checks that no earlier request of the
+        // batch consumed them.
+        let plans: Vec<Result<Vec<NetId>, Reject>> = requests
+            .iter()
+            .map(|req| self.resolve(targets(&req.kind)))
+            .collect();
+        let jobs = requests
+            .iter()
+            .zip(&plans)
+            .enumerate()
+            .map(|(k, (req, plan))| {
+                let victims = plan.as_ref().ok()?.clone();
+                if req.is_cancelled() || expired(req.deadline, k, started) {
+                    return None;
+                }
+                let specs: &[NetSpec] = match &req.kind {
+                    RequestKind::Route(spec) => std::slice::from_ref(spec),
+                    RequestKind::Unroute(_) => &[],
+                    RequestKind::Replace { add, .. } => add,
+                };
+                let deadline = match req.deadline {
+                    Some(Deadline::Elapsed(d)) => Some(started + d),
+                    _ => None,
+                };
+                Some(Job {
+                    victims,
+                    specs,
+                    ctx: req.ctx,
+                    abandon: Abandon {
+                        cancel: Some(&req.cancel),
+                        deadline,
+                    },
+                })
+            })
+            .collect();
+        let exec = WaveExec {
+            threads: self.cfg.threads.max(1),
         };
-        debug_assert_eq!(dones.len(), requests.len(), "one outcome per request");
-        dones.sort_by_key(|d| d.step);
+        let mut engine = Engine::new(
+            self.dev,
+            &self.db,
+            jobs,
+            &self.cfg.maze,
+            exec,
+            &self.pool,
+            &self.obs,
+            "svc.exec",
+        );
 
-        let outcomes = self.apply(&requests, &dones);
-        let leaked_claims = self.cfg.audit.then(|| self.audit(&batch.claims));
+        let mut outcomes = Vec::with_capacity(requests.len());
+        let mut log = Vec::with_capacity(requests.len());
+        for (k, (req, plan)) in requests.iter().zip(plans).enumerate() {
+            let decided = if req.is_cancelled() {
+                Some(RequestOutcome::Cancelled)
+            } else if expired(req.deadline, k, started) {
+                Some(RequestOutcome::Expired)
+            } else if let Err(reject) = plan {
+                Some(RequestOutcome::Rejected(reject))
+            } else {
+                targets(&req.kind)
+                    .iter()
+                    .find(|t| !self.committed.contains_key(t))
+                    .map(|&t| RequestOutcome::Rejected(Reject::UnknownTarget(t)))
+            };
+            let outcome = match decided {
+                Some(outcome) => {
+                    engine.skip(k);
+                    outcome
+                }
+                None => match engine.commit(k, &mut self.db) {
+                    Ok(done) => record(&mut self.committed, req, done),
+                    Err(_) if req.is_cancelled() => RequestOutcome::Cancelled,
+                    Err(_) if expired(req.deadline, k, started) => RequestOutcome::Expired,
+                    Err(RouteFail::NoPath) => RequestOutcome::Congested {},
+                    Err(RouteFail::BadWire) => RequestOutcome::Rejected(Reject::BadWire),
+                },
+            };
+            self.meters.request_ns.record_duration(started.elapsed());
+            log.push(LogEntry {
+                step: k as u64,
+                request: req.id,
+            });
+            outcomes.push((req.id, outcome));
+        }
+        let stats = engine.stats();
+        drop(engine);
+        let leaked_segments = self.cfg.audit.then(|| self.audit());
 
         self.meters.batches.inc();
-        self.meters.executed.add(stats.executed);
+        self.meters.executed.add(requests.len() as u64);
+        self.meters.waves.add(stats.waves);
         self.meters.steals.add(stats.steals);
-        self.meters.retries.add(stats.retries);
+        self.meters.researched.add(stats.researched);
         for (_, o) in &outcomes {
             let name = match o {
                 RequestOutcome::Routed { .. } => "svc.routed",
@@ -441,16 +536,6 @@ impl<'d> RoutingService<'d> {
             };
             self.obs.count(name, 1);
         }
-
-        let log = dones
-            .iter()
-            .map(|d| LogEntry {
-                step: d.step,
-                worker: d.worker,
-                request: requests[d.idx].id,
-                stolen: d.stolen,
-            })
-            .collect();
         let now = self.obs.elapsed_ns();
         self.meters
             .batch_ns
@@ -459,201 +544,40 @@ impl<'d> RoutingService<'d> {
             w.tick(now);
         }
         self.meters.queue_depth.set(self.pending.len() as u64);
-        let mut outcomes = outcomes;
         outcomes.sort_by_key(|&(id, _)| id);
         BatchReport {
             outcomes,
             log,
-            executed: stats.executed,
-            steals: stats.steals,
-            retries: stats.retries,
-            leaked_claims,
+            researched: stats.researched,
+            leaked_segments,
         }
     }
 
-    /// Resolve victims, allocate claim-id ranges, and seed the claim
-    /// table with every committed net.
-    fn prepare<'r>(&self, requests: &'r [Request]) -> Batch<'r> {
-        let space = self.dev.seg_space();
-        let claims = ClaimTable::new(space);
-        for (seg, id) in self.db.iter_used() {
-            debug_assert!(id.0 < BATCH_BASE, "NetId namespace ran into batch ids");
-            let claimed = claims.try_claim(space.index(seg), id.0);
-            debug_assert!(claimed, "database nets are disjoint");
+    /// The nets `targets` name, against the current commitments. A
+    /// target that is not committed, or named twice, is unknown.
+    fn resolve(&self, targets: &[RequestId]) -> Result<Vec<NetId>, Reject> {
+        let mut nets = Vec::new();
+        for (i, &t) in targets.iter().enumerate() {
+            let held = self
+                .committed
+                .get(&t)
+                .filter(|_| !targets[..i].contains(&t));
+            nets.extend_from_slice(held.ok_or(Reject::UnknownTarget(t))?);
         }
-        let mut kinds = Vec::with_capacity(requests.len());
-        let mut cid_base = Vec::with_capacity(requests.len());
-        let mut next_cid = BATCH_BASE;
-        // Each committed request may be victim of at most one request per
-        // batch — the claim-custody handover in `Replace` depends on it.
-        let mut consumed: HashSet<RequestId> = HashSet::new();
-        for req in requests {
-            let resolve = |targets: &[RequestId],
-                           consumed: &mut HashSet<RequestId>|
-             -> Result<Vec<(NetId, Vec<SegIdx>)>, Reject> {
-                let mut out = Vec::new();
-                for (i, &t) in targets.iter().enumerate() {
-                    // A duplicate inside one request's own victim list would
-                    // break the claim handover just like a cross-request
-                    // duplicate, so both are rejected here.
-                    if consumed.contains(&t) || targets[..i].contains(&t) {
-                        return Err(Reject::UnknownTarget(t));
-                    }
-                    let Some(nets) = self.committed.get(&t) else {
-                        return Err(Reject::UnknownTarget(t));
-                    };
-                    for &nid in nets {
-                        out.push((nid, self.net_segment_indices(nid)));
-                    }
-                }
-                for &t in targets {
-                    consumed.insert(t);
-                }
-                Ok(out)
-            };
-            let (kind, ids) = match &req.kind {
-                RequestKind::Route(_) => (PrepKind::Route, 1),
-                RequestKind::Unroute(target) => match resolve(&[*target], &mut consumed) {
-                    Ok(targets) => (PrepKind::Unroute { targets }, 1),
-                    Err(r) => (PrepKind::Reject(r), 1),
-                },
-                RequestKind::Replace { remove, add } => match resolve(remove, &mut consumed) {
-                    Ok(victims) => (PrepKind::Replace { victims }, 1 + add.len() as u32),
-                    Err(r) => (PrepKind::Reject(r), 1),
-                },
-            };
-            kinds.push(kind);
-            cid_base.push(next_cid);
-            next_cid = next_cid
-                .checked_add(ids)
-                .filter(|&n| n < u32::MAX)
-                .expect("claim-id namespace exhausted");
-        }
-        Batch {
-            requests,
-            kinds,
-            cid_base,
-            claims,
-        }
+        Ok(nets)
     }
 
-    /// Claim-table indices net `nid` owns: source plus PIP targets.
-    fn net_segment_indices(&self, nid: NetId) -> Vec<SegIdx> {
-        let space = self.dev.seg_space();
-        let net = self.db.net(nid).expect("committed net exists");
-        let mut v = Vec::with_capacity(net.pips.len() + 1);
-        v.push(space.index(net.source));
-        for &(rc, pip) in &net.pips {
-            if let Some(target) = virtex::segment::canonicalize(space.dims(), rc, pip.to) {
-                v.push(space.index(target));
-            }
-        }
-        v
-    }
-
-    /// Apply completions to the database and produce per-request
-    /// outcomes. Removals are applied first: in threaded mode, a later
-    /// completion ticket may belong to a request that already reused
-    /// segments an `Unroute` freed mid-batch, so creating in pure ticket
-    /// order could collide with a net that is about to be removed.
-    /// Creates then land in completion order, which keeps `NetId`
-    /// assignment identical to the sequential replay.
-    fn apply(
-        &mut self,
-        requests: &[Request],
-        dones: &[TaskDone],
-    ) -> Vec<(RequestId, RequestOutcome)> {
-        for d in dones {
-            match &d.outcome {
-                Done::Unrouted(nets)
-                | Done::Replaced {
-                    removed: nets,
-                    added: _,
-                } => {
-                    for &nid in nets {
-                        self.db.remove_net(nid).expect("victim net exists");
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut outcomes = Vec::with_capacity(dones.len());
-        for d in dones {
-            let req = &requests[d.idx];
-            let outcome = match &d.outcome {
-                Done::Routed(net) => {
-                    let nid = self.apply_net(net);
-                    self.committed.insert(req.id, vec![nid]);
-                    RequestOutcome::Routed {
-                        net: nid,
-                        segments: net.segments.len() + 1,
-                    }
-                }
-                Done::Unrouted(nets) => {
-                    if let RequestKind::Unroute(target) = &req.kind {
-                        self.committed.remove(target);
-                    }
-                    RequestOutcome::Unrouted { nets: nets.clone() }
-                }
-                Done::Replaced { removed, added } => {
-                    if let RequestKind::Replace { remove, .. } = &req.kind {
-                        for t in remove {
-                            self.committed.remove(t);
-                        }
-                    }
-                    let ids: Vec<NetId> = added.iter().map(|n| self.apply_net(n)).collect();
-                    self.committed.insert(req.id, ids.clone());
-                    RequestOutcome::Replaced {
-                        removed: removed.clone(),
-                        added: ids,
-                    }
-                }
-                Done::Cancelled => RequestOutcome::Cancelled,
-                Done::Expired => RequestOutcome::Expired,
-                Done::Congested(attempts) => RequestOutcome::Congested {
-                    attempts: *attempts,
-                },
-                Done::Rejected(r) => RequestOutcome::Rejected(*r),
-            };
-            outcomes.push((req.id, outcome));
-        }
-        outcomes
-    }
-
-    /// Commit one routed net to the database. The claim table already
-    /// guaranteed exclusivity, so contention here is a bug.
-    fn apply_net(&mut self, net: &ParallelNet) -> NetId {
-        let src = self
-            .dev
-            .canonicalize(net.spec.source.rc, net.spec.source.wire)
-            .expect("committed net has a canonical source");
-        let id = self
-            .db
-            .create(net.spec.source, src)
-            .expect("claim table guaranteed source exclusivity");
-        for (k, &(rc, pip)) in net.pips.iter().enumerate() {
-            self.db
-                .add_pip(id, rc, pip, net.segments[k])
-                .expect("claim table guaranteed segment exclusivity");
-        }
-        for sink in &net.spec.sinks {
-            self.db.add_sink(id, *sink);
-        }
-        id
-    }
-
-    /// Post-batch leak check: the claim table (persisted survivors plus
-    /// batch-committed nets) must describe exactly the segments the
-    /// database now owns. Returns the number of disagreeing slots.
-    fn audit(&self, claims: &ClaimTable) -> usize {
-        let space = self.dev.seg_space();
-        let claimed: HashSet<SegIdx> = claims.claimed().map(|(idx, _)| idx).collect();
-        let used: HashSet<SegIdx> = self
+    /// Post-batch bookkeeping check: segments the database holds for no
+    /// committed request, plus committed nets missing from the database.
+    fn audit(&self) -> usize {
+        let held: HashSet<NetId> = self.committed.values().flatten().copied().collect();
+        let stray = self
             .db
             .iter_used()
-            .map(|(seg, _)| space.index(seg))
-            .collect();
-        claimed.symmetric_difference(&used).count()
+            .filter(|(_, id)| !held.contains(id))
+            .count();
+        let lost = held.iter().filter(|&&id| self.db.net(id).is_none()).count();
+        stray + lost
     }
 }
 
@@ -668,10 +592,9 @@ mod tests {
         Device::new(Family::Xcv50)
     }
 
-    fn det_cfg(threads: usize, seed: u64) -> ServiceConfig {
+    fn cfg(threads: usize) -> ServiceConfig {
         ServiceConfig {
             threads,
-            mode: ExecMode::Deterministic { seed },
             audit: true,
             ..Default::default()
         }
@@ -689,14 +612,14 @@ mod tests {
     #[test]
     fn route_then_unroute_roundtrip() {
         let dev = dev();
-        let mut svc = RoutingService::new(&dev, det_cfg(2, 1));
+        let mut svc = RoutingService::new(&dev, cfg(2));
         let id = svc.submit(RequestKind::Route(spec(0))).unwrap();
         let report = svc.run_batch();
         assert!(matches!(
             report.outcome(id),
             Some(RequestOutcome::Routed { .. })
         ));
-        assert_eq!(report.leaked_claims, Some(0));
+        assert_eq!(report.leaked_segments, Some(0));
         assert_eq!(svc.db().len(), 1);
         assert!(svc.db().used_segments() > 0);
 
@@ -706,7 +629,7 @@ mod tests {
             report.outcome(un),
             Some(RequestOutcome::Unrouted { .. })
         ));
-        assert_eq!(report.leaked_claims, Some(0));
+        assert_eq!(report.leaked_segments, Some(0));
         assert!(svc.db().is_empty());
         assert_eq!(svc.db().used_segments(), 0);
         assert!(svc.nets_of(id).is_none(), "victim entry retired");
@@ -715,7 +638,7 @@ mod tests {
     #[test]
     fn replace_swaps_nets() {
         let dev = dev();
-        let mut svc = RoutingService::new(&dev, det_cfg(2, 7));
+        let mut svc = RoutingService::new(&dev, cfg(2));
         let a = svc.submit(RequestKind::Route(spec(0))).unwrap();
         svc.run_batch();
         let old_net = svc.nets_of(a).unwrap()[0];
@@ -734,7 +657,7 @@ mod tests {
             }
             other => panic!("expected Replaced, got {other:?}"),
         }
-        assert_eq!(report.leaked_claims, Some(0));
+        assert_eq!(report.leaked_segments, Some(0));
         assert_eq!(svc.db().len(), 2);
         assert!(svc.db().net(old_net).is_none());
     }
@@ -742,7 +665,7 @@ mod tests {
     #[test]
     fn replace_rolls_back_when_an_add_cannot_route() {
         let dev = dev();
-        let mut svc = RoutingService::new(&dev, det_cfg(2, 3));
+        let mut svc = RoutingService::new(&dev, cfg(2));
         let a = svc.submit(RequestKind::Route(spec(0))).unwrap();
         svc.run_batch();
         let before = svc.db().census();
@@ -766,7 +689,7 @@ mod tests {
             report.outcome(r),
             Some(RequestOutcome::Rejected(Reject::BadWire))
         ));
-        assert_eq!(report.leaked_claims, Some(0));
+        assert_eq!(report.leaked_segments, Some(0));
         assert_eq!(svc.db().census(), before, "victim state must be intact");
         assert!(svc.nets_of(a).is_some(), "victim request still committed");
     }
@@ -774,11 +697,13 @@ mod tests {
     #[test]
     fn bounded_queue_pushes_back() {
         let dev = dev();
-        let cfg = ServiceConfig {
-            queue_capacity: 2,
-            ..det_cfg(1, 0)
-        };
-        let mut svc = RoutingService::new(&dev, cfg);
+        let mut svc = RoutingService::new(
+            &dev,
+            ServiceConfig {
+                queue_capacity: 2,
+                ..cfg(1)
+            },
+        );
         svc.submit(RequestKind::Route(spec(0))).unwrap();
         svc.submit(RequestKind::Route(spec(1))).unwrap();
         let err = svc.submit(RequestKind::Route(spec(2))).unwrap_err();
@@ -791,7 +716,7 @@ mod tests {
     #[test]
     fn cancelled_request_leaves_no_trace() {
         let dev = dev();
-        let mut svc = RoutingService::new(&dev, det_cfg(2, 5));
+        let mut svc = RoutingService::new(&dev, cfg(2));
         let (id, token) = svc
             .submit_with(RequestKind::Route(spec(0)), 128, None)
             .unwrap();
@@ -799,66 +724,108 @@ mod tests {
         assert!(svc.cancel_token(id).unwrap().is_cancelled());
         let report = svc.run_batch();
         assert_eq!(report.outcome(id), Some(&RequestOutcome::Cancelled));
-        assert_eq!(report.leaked_claims, Some(0));
+        assert_eq!(report.leaked_segments, Some(0));
         assert!(svc.db().is_empty());
     }
 
     #[test]
     fn zero_step_deadline_expires() {
         let dev = dev();
-        let mut svc = RoutingService::new(&dev, det_cfg(1, 11));
+        let mut svc = RoutingService::new(&dev, cfg(1));
         let (id, _) = svc
             .submit_with(RequestKind::Route(spec(0)), 128, Some(Deadline::Steps(0)))
             .unwrap();
         let report = svc.run_batch();
         assert_eq!(report.outcome(id), Some(&RequestOutcome::Expired));
-        assert_eq!(report.leaked_claims, Some(0));
+        assert_eq!(report.leaked_segments, Some(0));
         assert!(svc.db().is_empty());
     }
 
     #[test]
     fn unknown_victims_are_rejected() {
         let dev = dev();
-        let mut svc = RoutingService::new(&dev, det_cfg(1, 2));
+        let mut svc = RoutingService::new(&dev, cfg(1));
         let un = svc.submit(RequestKind::Unroute(999)).unwrap();
-        // Two requests targeting the same victim: the second rejects.
         let a = svc.submit(RequestKind::Route(spec(0))).unwrap();
+        let b = svc.submit(RequestKind::Route(spec(5))).unwrap();
         let report = svc.run_batch();
         assert_eq!(
             report.outcome(un),
             Some(&RequestOutcome::Rejected(Reject::UnknownTarget(999)))
         );
+        let before = svc.db().census();
+        let a_net = svc.nets_of(a).unwrap()[0];
+
+        // A Replace that names its victim twice is refused whole, and the
+        // victim keeps its net and every segment.
+        let twice = svc
+            .submit(RequestKind::Replace {
+                remove: vec![a, a],
+                add: vec![],
+            })
+            .unwrap();
+        let report = svc.run_batch();
+        assert_eq!(
+            report.outcome(twice),
+            Some(&RequestOutcome::Rejected(Reject::UnknownTarget(a)))
+        );
+        assert_eq!(svc.nets_of(a), Some(&[a_net][..]));
+        assert_eq!(svc.db().census(), before, "victim state must be intact");
+
+        // Two requests of one batch name the same victim: the earlier
+        // consumes it at its commit, the later is refused.
         let u1 = svc.submit(RequestKind::Unroute(a)).unwrap();
         let u2 = svc.submit(RequestKind::Unroute(a)).unwrap();
+        let r1 = svc
+            .submit(RequestKind::Replace {
+                remove: vec![b],
+                add: vec![spec(6)],
+            })
+            .unwrap();
+        let r2 = svc
+            .submit(RequestKind::Replace {
+                remove: vec![b],
+                add: vec![spec(7)],
+            })
+            .unwrap();
         let report = svc.run_batch();
         assert!(report.outcome(u1).unwrap().is_success());
         assert_eq!(
             report.outcome(u2),
             Some(&RequestOutcome::Rejected(Reject::UnknownTarget(a)))
         );
+        assert!(report.outcome(r1).unwrap().is_success());
+        assert_eq!(
+            report.outcome(r2),
+            Some(&RequestOutcome::Rejected(Reject::UnknownTarget(b)))
+        );
+        assert_eq!(report.leaked_segments, Some(0));
+        assert_eq!(svc.db().len(), 1, "only r1's replacement remains");
     }
 
     #[test]
     fn same_seed_reproduces_schedule_and_state() {
         let dev = dev();
-        let run = || {
-            let mut svc = RoutingService::new(&dev, det_cfg(4, 0xDEAD));
+        let run = |threads: usize| {
+            let mut svc = RoutingService::new(&dev, cfg(threads));
+            let mut rng = detrand::DetRng::seed_from_u64(0xDEAD);
             for i in 0..8 {
-                svc.submit(RequestKind::Route(spec(i))).unwrap();
+                let priority = rng.gen_range(0u32..4) as u8;
+                svc.submit_with(RequestKind::Route(spec(i)), priority, None)
+                    .unwrap();
             }
             let report = svc.run_batch();
             (report.log, svc.db().census())
         };
-        let (log_a, census_a) = run();
-        let (log_b, census_b) = run();
-        assert_eq!(log_a, log_b);
-        assert_eq!(census_a, census_b);
+        let one = run(1);
+        assert_eq!(one, run(1), "same seed, same log and state");
+        assert_eq!(one, run(4), "and at every width");
     }
 
     #[test]
     fn priority_runs_most_urgent_first() {
         let dev = dev();
-        let mut svc = RoutingService::new(&dev, det_cfg(1, 1));
+        let mut svc = RoutingService::new(&dev, cfg(1));
         let lazy = svc
             .submit_with(RequestKind::Route(spec(0)), 200, None)
             .unwrap()
@@ -875,18 +842,12 @@ mod tests {
     #[test]
     fn threaded_mode_commits_disjoint_nets() {
         let dev = dev();
-        let cfg = ServiceConfig {
-            threads: 4,
-            mode: ExecMode::Threaded,
-            audit: true,
-            ..Default::default()
-        };
-        let mut svc = RoutingService::new(&dev, cfg);
+        let mut svc = RoutingService::new(&dev, cfg(4));
         for i in 0..12 {
             svc.submit(RequestKind::Route(spec(i))).unwrap();
         }
         let report = svc.run_batch();
-        assert_eq!(report.leaked_claims, Some(0));
+        assert_eq!(report.leaked_segments, Some(0));
         let mut seen = HashSet::new();
         for (seg, _) in svc.db().iter_used() {
             assert!(seen.insert(seg), "segment {seg} owned twice");
@@ -897,7 +858,7 @@ mod tests {
     #[test]
     fn deterministic_log_replays_through_the_model() {
         let dev = dev();
-        let mut svc = RoutingService::new(&dev, det_cfg(3, 42));
+        let mut svc = RoutingService::new(&dev, cfg(3));
         let mut subs = Vec::new();
         for i in 0..6 {
             subs.push(svc.submit(RequestKind::Route(spec(i))).unwrap());

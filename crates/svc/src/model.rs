@@ -1,22 +1,26 @@
 //! Sequential reference model for the batch service.
 //!
 //! [`SequentialModel`] executes *successful* requests one at a time
-//! against a plain [`NetDb`] — no claim table, no threads, no deques —
-//! using the same maze search the service uses. Deterministic-mode
-//! batches are serializations (one request executes at a time, and
-//! failed attempts roll back exactly), so replaying a batch's completion
-//! log through the model must reproduce the service's net database
-//! bit-for-bit: same nets, same `NetId`s, same segment census. The
-//! service stress tests assert exactly that.
+//! against a plain [`NetDb`] — no waves, no threads, no frozen searches —
+//! with the per-net search policy the service uses
+//! ([`jroute::parallel::route_net`]). Every service batch is a
+//! serialization in `(priority, submission)` order at any worker count,
+//! so replaying a batch's log through the model must reproduce the
+//! service's net database bit-for-bit: same nets, same `NetId`s, same
+//! segment census. What the model checks is the service's concurrency:
+//! that wave searches against frozen state, the staleness rule and the
+//! ordered commit add up to the one-at-a-time result. The service stress
+//! tests assert exactly that.
 //!
 //! `NetId` equality holds because the model creates nets in the same
-//! order the service's post-batch apply does (completion order), and
-//! removals never touch the id counter.
+//! order the service's commit loop does, and removals never touch the id
+//! counter.
 
 use crate::request::{RequestId, RequestKind};
-use jroute::maze::{self, MazeConfig, MazeScratch};
+use jroute::maze::{MazeConfig, MazeScratch};
+use jroute::parallel::{apply_net, route_net};
 use jroute::pathfinder::NetSpec;
-use jroute::{NetDb, NetId};
+use jroute::{NetDb, NetId, Recorder};
 use std::collections::HashMap;
 use virtex::Device;
 
@@ -59,35 +63,21 @@ impl<'d> SequentialModel<'d> {
     /// batch log).
     ///
     /// Panics if the request cannot be applied here: the service already
-    /// committed it at this point of the schedule, so any failure is a
-    /// real divergence between the concurrent machine and the model.
+    /// committed it at this point of the serialization, so any failure
+    /// is a real divergence between the service and the model.
     pub fn apply(&mut self, req: RequestId, kind: &RequestKind) {
         match kind {
             RequestKind::Route(spec) => {
                 let id = self.route(spec);
                 self.committed.insert(req, vec![id]);
             }
-            RequestKind::Unroute(target) => {
-                let nets = self
-                    .committed
-                    .remove(target)
-                    .expect("model: unroute victim was never committed");
-                for id in nets {
-                    self.db.remove_net(id).expect("model: victim net vanished");
-                }
-            }
+            RequestKind::Unroute(target) => self.remove(*target),
             RequestKind::Replace { remove, add } => {
-                // Removals precede the replacement routes, exactly like
-                // the claim-custody handover in the live executor: the
-                // replacements may reuse the victims' segments.
-                for target in remove {
-                    let nets = self
-                        .committed
-                        .remove(target)
-                        .expect("model: replace victim was never committed");
-                    for id in nets {
-                        self.db.remove_net(id).expect("model: victim net vanished");
-                    }
+                // Removals precede the replacement routes, which may
+                // reuse the victims' segments; each replacement routes
+                // around the ones before it.
+                for &target in remove {
+                    self.remove(target);
                 }
                 let ids: Vec<NetId> = add.iter().map(|spec| self.route(spec)).collect();
                 self.committed.insert(req, ids);
@@ -95,68 +85,31 @@ impl<'d> SequentialModel<'d> {
         }
     }
 
-    /// Route one net with `NetDb` occupancy as the blocked set — the
-    /// sequential twin of `route_one_claiming`.
+    /// Tear down every net of committed request `target`.
+    fn remove(&mut self, target: RequestId) {
+        let nets = self
+            .committed
+            .remove(&target)
+            .expect("model: victim was never committed");
+        for id in nets {
+            self.db.remove_net(id).expect("model: victim net vanished");
+        }
+    }
+
+    /// Route one net with `NetDb` occupancy as the blocked set.
     fn route(&mut self, spec: &NetSpec) -> NetId {
-        let src = self
-            .dev
-            .canonicalize(spec.source.rc, spec.source.wire)
-            .expect("model: source wire must exist");
-        let id = self
-            .db
-            .create(spec.source, src)
-            .expect("model: source segment already owned");
-        // Same bounded-then-unbounded policy as `route_one_claiming`:
-        // the model must take byte-identical search decisions.
-        let mut bounded = self.maze.clone();
-        if bounded.bbox.is_none() {
-            bounded.bbox = Some(jroute::parallel::net_search_box(self.dev, spec));
-        }
-        let mut starts = vec![(src, 0u32)];
-        for sink in &spec.sinks {
-            let goal = self
-                .dev
-                .canonicalize(sink.rc, sink.wire)
-                .expect("model: sink wire must exist");
-            let r = {
-                let db = &self.db;
-                let blocked = |seg| db.owner(seg).is_some_and(|o| o != id);
-                maze::search(
-                    self.dev,
-                    &starts,
-                    goal,
-                    &bounded,
-                    blocked,
-                    |_| 0,
-                    &mut self.scratch,
-                )
-                .or_else(|| {
-                    if self.maze.bbox.is_none() {
-                        maze::search(
-                            self.dev,
-                            &starts,
-                            goal,
-                            &self.maze,
-                            blocked,
-                            |_| 0,
-                            &mut self.scratch,
-                        )
-                    } else {
-                        None
-                    }
-                })
-            };
-            let r = r.expect("model: search failed where the service succeeded");
-            for (k, &(rc, pip)) in r.pips.iter().enumerate() {
-                self.db
-                    .add_pip(id, rc, pip, r.segments[k])
-                    .expect("model: contention on a segment the search chose");
-            }
-            for &seg in &r.segments {
-                starts.push((seg, 0));
-            }
-            self.db.add_sink(id, *sink);
-        }
-        id
+        let db = &self.db;
+        let routed = route_net(
+            self.dev,
+            spec,
+            &self.maze,
+            |seg| db.is_used(seg),
+            &mut self.scratch,
+            &Recorder::disabled(),
+        );
+        let net = routed
+            .net
+            .expect("model: search failed where the service succeeded");
+        apply_net(self.dev, &mut self.db, &net).expect("model: contention on a searched path")
     }
 }

@@ -29,8 +29,8 @@ pub enum RequestKind {
     /// Atomically remove the nets of earlier requests and route
     /// replacements over the freed resources — the §5 "replace a core
     /// while the design runs" operation as one request. Either all of
-    /// `add` routes (and the removals stick), or the whole request rolls
-    /// back and the victims keep their resources.
+    /// `add` routes (and the removals stick), or nothing changes and the
+    /// victims keep their resources.
     Replace {
         /// Committed route requests whose nets are torn down.
         remove: Vec<RequestId>,
@@ -43,14 +43,15 @@ pub enum RequestKind {
 /// When a request stops being worth finishing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Deadline {
-    /// Expires once the batch has *completed* this many requests. The
-    /// step clock is part of the replayable schedule, so this is the
-    /// deadline form deterministic mode honours.
+    /// Expires once the batch has decided this many requests before it
+    /// (its commit step is at least this). The step clock is part of the
+    /// batch's fixed `(priority, submission)` order, so this deadline
+    /// form replays exactly.
     Steps(u64),
-    /// Expires this long after `run_batch` starts (wall clock). Only
-    /// meaningful in threaded mode; deterministic mode treats it as
-    /// unbounded, because reading a real clock would make the schedule
-    /// unreplayable.
+    /// Expires this long after `run_batch` starts (wall clock), checked
+    /// during the request's searches and at its commit. Reading a real
+    /// clock makes the outcome depend on timing, so replays of batches
+    /// that use it may differ.
     Elapsed(Duration),
 }
 
@@ -70,9 +71,9 @@ pub struct Request {
     /// Shared cancellation flag (see [`CancelToken`]).
     pub(crate) cancel: Arc<AtomicBool>,
     /// Causal trace context minted at submission (the `svc.request` root
-    /// span). Carried through queueing, stealing, retry parking and
-    /// `Replace` chain-transfers so every exec/maze span links back to
-    /// the originating submission.
+    /// span). Carried into the batch so every exec/maze span — on
+    /// whichever worker its search ran — links back to the originating
+    /// submission.
     pub(crate) ctx: TraceCtx,
 }
 
@@ -84,8 +85,8 @@ impl Request {
 }
 
 /// Cloneable handle that cancels one request from any thread, including
-/// while a batch is running: the routing step polls the flag on every
-/// search probe and rolls the request's claims back.
+/// while a batch is running: the request's searches poll the flag on
+/// every probe, and a cancelled request changes nothing.
 #[derive(Debug, Clone)]
 pub struct CancelToken(pub(crate) Arc<AtomicBool>);
 
@@ -104,8 +105,9 @@ impl CancelToken {
 /// Why a request was refused without being scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reject {
-    /// An `Unroute`/`Replace` victim id is unknown, not yet committed,
-    /// or already targeted by an earlier request in the same batch.
+    /// An `Unroute`/`Replace` victim id is unknown, was not committed
+    /// when the batch started, is named twice in one request, or was
+    /// consumed by an earlier request of the same batch.
     UnknownTarget(RequestId),
     /// A net spec names a wire that does not exist on the device.
     BadWire,
@@ -133,19 +135,15 @@ pub enum RequestOutcome {
         /// Nets created, one per `add` spec in order.
         added: Vec<NetId>,
     },
-    /// Cancelled via [`CancelToken`] before or during execution; any
-    /// claims made were rolled back.
+    /// Cancelled via [`CancelToken`] before or during execution; nothing
+    /// changed.
     Cancelled,
-    /// The deadline expired before or during execution; any claims made
-    /// were rolled back.
+    /// The deadline expired before or during execution; nothing changed.
     Expired,
-    /// Every attempt lost its resources to competing requests (or no
-    /// route existed under the committed state); gave up after
-    /// `attempts` tries.
-    Congested {
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
+    /// A net of the request found no free path (or a terminal already
+    /// taken) in the state every earlier request of the batch left;
+    /// nothing changed.
+    Congested {},
     /// Refused without scheduling.
     Rejected(Reject),
 }
@@ -182,17 +180,13 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// One completed request in schedule order — the replayable log.
+/// One decided request in commit order — the replayable log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogEntry {
-    /// Completion step (0-based, dense within the batch).
+    /// Commit step (0-based, dense within the batch).
     pub step: u64,
-    /// Worker that finished the request.
-    pub worker: usize,
     /// The request.
     pub request: RequestId,
-    /// Whether the finishing worker obtained the task by stealing.
-    pub stolen: bool,
 }
 
 /// Everything `run_batch` did.
@@ -200,21 +194,19 @@ pub struct LogEntry {
 pub struct BatchReport {
     /// Final outcome per request, sorted by request id.
     pub outcomes: Vec<(RequestId, RequestOutcome)>,
-    /// Completions in schedule order — feed the successful entries to
+    /// Every request in commit order, `(priority, submission)` — feed
+    /// the successful entries to
     /// [`SequentialModel`](crate::model::SequentialModel) to replay the
     /// batch.
     pub log: Vec<LogEntry>,
-    /// Task executions, including retries of deferred requests.
-    pub executed: u64,
-    /// Tasks a worker took from another worker's deque.
-    pub steals: u64,
-    /// Deferred-and-requeued executions.
-    pub retries: u64,
+    /// Wave search results re-searched at commit because a commit since
+    /// their search made them stale (see [`jroute::parallel`]).
+    pub researched: u64,
     /// When [`ServiceConfig::audit`](crate::ServiceConfig) is set: the
-    /// number of claim-table slots that disagree with the net database
-    /// after the batch (must be 0 — anything else is a leaked or lost
-    /// claim).
-    pub leaked_claims: Option<usize>,
+    /// segments the net database holds for no committed request plus the
+    /// committed nets missing from it (must be 0 — anything else is a
+    /// leaked or lost net).
+    pub leaked_segments: Option<usize>,
 }
 
 impl BatchReport {

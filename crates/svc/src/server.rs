@@ -27,14 +27,14 @@
 //!   (`svc.server.*{tenant="t"}`, see [`jroute_obs::labeled`]) flow
 //!   through the sharded registry into an [`Aggregator`] window and the
 //!   Prometheus exposition;
-//! * **determinism** — in [`ExecMode::Deterministic`] the driver blocks
-//!   on the channel (no wall-clock flushes), batch boundaries are a pure
-//!   function of the admission sequence, and each tenant's service runs
-//!   the replayable single-consumer schedule over a *fixed* deque
-//!   topology ([`ServerConfig::tenant_threads`]) with a per-tenant
-//!   derived seed. The shared pool width then affects only wall-clock
-//!   overlap between tenants — never results — so a fixed submission
-//!   trace is bit-replayable across any [`ServerConfig::threads`].
+//! * **determinism** — every tenant batch is a serialization in
+//!   `(priority, admission)` order whatever width its executor leased,
+//!   so results depend only on where batches are cut. In
+//!   [`ExecMode::Deterministic`] the driver blocks on the channel (no
+//!   wall-clock flushes), so batch boundaries are a pure function of the
+//!   admission sequence and a fixed submission trace is bit-replayable
+//!   across any [`ServerConfig::threads`] and
+//!   [`ServerConfig::tenant_threads`].
 //!
 //! Faults are contained per batch: a panic while a tenant's batch
 //! executes (exercised via [`FaultPlan`]) marks that tenant *poisoned* —
@@ -44,7 +44,7 @@
 
 use crate::request::{Deadline, QueueFull, RequestId, RequestKind, RequestOutcome, TenantId};
 use crate::trace::{Trace, TraceError, TraceOp};
-use crate::{CancelToken, ExecMode, RoutingService, ServiceConfig};
+use crate::{CancelToken, RoutingService, ServiceConfig};
 use jroute::maze::MazeConfig;
 use jroute::schedule::ThreadBudget;
 use jroute::NetId;
@@ -68,31 +68,36 @@ pub struct FaultPlan {
     pub panic_on: Option<(TenantId, u64)>,
 }
 
+/// How the server driver cuts batches. Results never depend on the
+/// worker count, only on where batches are cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// Watermark cuts plus a flush whenever the admission channel has
+    /// been idle for 1 ms, so a quiet server drains promptly. Batch
+    /// boundaries then depend on arrival timing.
+    Threaded,
+    /// Watermark cuts and explicit [`TenantHandle::flush`] only: batch
+    /// boundaries are a pure function of the admission sequence.
+    Deterministic,
+}
+
 /// Multi-tenant server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Shared routing-pool width: the budgeted sum of worker threads
-    /// across all tenants routing concurrently (threaded mode). In
-    /// deterministic mode this affects wall-clock overlap only, never
-    /// results.
+    /// across all tenants routing concurrently. Affects wall clock only,
+    /// never results.
     pub threads: usize,
-    /// Per-tenant deque topology: the worker count each tenant's
-    /// service schedules over. Fixed (not pool-dependent) so the
-    /// deterministic schedule — a pure function of (seed, this width,
-    /// batch) — is identical whatever the pool width.
+    /// Widest lease one tenant's executor takes from the pool per batch.
     pub tenant_threads: usize,
     /// Maze options shared by every tenant.
     pub maze: MazeConfig,
     /// Per-tenant admission-gate capacity; [`TenantHandle::submit`]
     /// fails with [`QueueFull`] beyond it.
     pub queue_capacity: usize,
-    /// Per-request execution attempts (see
-    /// [`ServiceConfig::max_attempts`]).
-    pub max_attempts: u32,
-    /// Execution mode. A [`ExecMode::Deterministic`] seed is the
-    /// *server* seed; each tenant derives its own.
+    /// How the driver cuts batches.
     pub mode: ExecMode,
-    /// Post-batch claim audits on every tenant service.
+    /// Post-batch bookkeeping audits on every tenant service.
     pub audit: bool,
     /// Size watermark: an admission that fills a tenant's forming batch
     /// to this many requests cuts it immediately.
@@ -117,7 +122,6 @@ impl Default for ServerConfig {
             tenant_threads: 2,
             maze: MazeConfig::default(),
             queue_capacity: 1024,
-            max_attempts: 8,
             mode: ExecMode::Threaded,
             audit: cfg!(debug_assertions),
             batch_max: 32,
@@ -127,29 +131,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// The per-tenant seed in deterministic mode: derived from the server
-/// seed by a golden-ratio mix so tenants explore independent schedules.
-pub fn tenant_seed(server_seed: u64, tenant: TenantId) -> u64 {
-    server_seed ^ (u64::from(tenant) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// The [`ServiceConfig`] tenant `tenant`'s executor runs under — public
-/// so replay-fidelity tests can drive a standalone [`RoutingService`]
-/// with the exact per-tenant policy the server uses.
-pub fn tenant_service_config(cfg: &ServerConfig, tenant: TenantId) -> ServiceConfig {
+/// The [`ServiceConfig`] every tenant's executor runs under — public so
+/// replay-fidelity tests can drive a standalone [`RoutingService`] with
+/// the exact policy the server uses.
+pub fn tenant_service_config(cfg: &ServerConfig) -> ServiceConfig {
     ServiceConfig {
         threads: cfg.tenant_threads.max(1),
         maze: cfg.maze.clone(),
         // A cut batch is fed to the service whole, so the service queue
         // must hold at least one full batch.
         queue_capacity: cfg.queue_capacity.max(cfg.batch_max).max(1),
-        max_attempts: cfg.max_attempts,
-        mode: match cfg.mode {
-            ExecMode::Threaded => ExecMode::Threaded,
-            ExecMode::Deterministic { seed } => ExecMode::Deterministic {
-                seed: tenant_seed(seed, tenant),
-            },
-        },
         audit: cfg.audit,
     }
 }
@@ -458,14 +449,10 @@ impl ServerClient {
 pub struct ServerLogEntry {
     /// 0-based batch index within the tenant.
     pub batch: u64,
-    /// Completion step within the batch (the service's replay clock).
+    /// Commit step within the batch (the service's replay clock).
     pub step: u64,
-    /// Worker that finished the request.
-    pub worker: usize,
     /// The admission ([`Ticket::id`]).
     pub seq: u64,
-    /// Whether the finishing worker stole the task.
-    pub stolen: bool,
 }
 
 /// Everything one tenant's executor did over the server's lifetime.
@@ -479,14 +466,14 @@ pub struct TenantReport {
     pub poisoned: bool,
     /// Terminal outcome per admission, sorted by admission id.
     pub outcomes: Vec<(u64, ServerOutcome)>,
-    /// Completions across all batches in execution order — replay the
+    /// Decisions across all batches in commit order — replay the
     /// successful entries through
     /// [`SequentialModel`](crate::model::SequentialModel) to reproduce
     /// `census`.
     pub log: Vec<ServerLogEntry>,
-    /// Summed claim-audit disagreements across batches (`Some(0)` =
-    /// clean; `None` when audits were off).
-    pub leaked_claims: Option<usize>,
+    /// Summed audit disagreements across batches (`Some(0)` = clean;
+    /// `None` when audits were off).
+    pub leaked_segments: Option<usize>,
     /// Final `(segment, net)` census of the tenant's [`NetDb`] shard.
     pub census: Vec<(Segment, NetId)>,
 }
@@ -640,7 +627,7 @@ fn driver_loop(
     obs: Recorder,
     mut window: Option<Aggregator>,
 ) -> Option<Aggregator> {
-    let deterministic = matches!(cfg.mode, ExecMode::Deterministic { .. });
+    let deterministic = cfg.mode == ExecMode::Deterministic;
     let mut formers: Vec<BatchFormer<Submission>> = (0..exec_txs.len())
         .map(|_| BatchFormer::new(cfg.batch_max, cfg.batch_wait))
         .collect();
@@ -719,9 +706,7 @@ fn executor_loop(
     gate: Arc<TenantGate>,
     budget: Arc<ThreadBudget>,
 ) -> TenantReport {
-    let deterministic = matches!(cfg.mode, ExecMode::Deterministic { .. });
-    let mut svc =
-        RoutingService::with_recorder(dev, tenant_service_config(&cfg, tenant), obs.clone());
+    let mut svc = RoutingService::with_recorder(dev, tenant_service_config(&cfg), obs.clone());
     let meters = ExecMeters {
         completed: obs.counter(&labeled("svc.server.completed", "tenant", tenant)),
         batches: obs.counter(&labeled("svc.server.batches", "tenant", tenant)),
@@ -751,13 +736,10 @@ fn executor_loop(
         let batch_idx = batches;
         batches += 1;
         meters.batches.inc();
-        // Threaded mode leases width from the shared pool for the span
-        // of this batch; deterministic mode keeps its fixed topology
-        // (the lease would change results).
-        let lease = (!deterministic).then(|| budget.lease(cfg.tenant_threads.max(1)));
-        if let Some(lease) = &lease {
-            svc.set_threads(lease.granted());
-        }
+        // Lease width from the shared pool for the span of this batch;
+        // the grant changes wall clock, never results.
+        let lease = budget.lease(cfg.tenant_threads.max(1));
+        svc.set_threads(lease.granted());
         let ran = catch_unwind(AssertUnwindSafe(|| {
             let mut ids = Vec::with_capacity(batch.len());
             for sub in &batch {
@@ -787,12 +769,10 @@ fn executor_loop(
                     log.push(ServerLogEntry {
                         batch: batch_idx,
                         step: entry.step,
-                        worker: entry.worker,
                         seq: req_to_seq[&entry.request],
-                        stolen: entry.stolen,
                     });
                 }
-                if let (Some(total), Some(found)) = (leaked.as_mut(), report.leaked_claims) {
+                if let (Some(total), Some(found)) = (leaked.as_mut(), report.leaked_segments) {
                     *total += found;
                 }
                 for (sub, &id) in batch.iter().zip(&ids) {
@@ -837,7 +817,7 @@ fn executor_loop(
         poisoned,
         outcomes,
         log,
-        leaked_claims: if poisoned { None } else { leaked },
+        leaked_segments: if poisoned { None } else { leaked },
         census: svc.db().census(),
     }
 }
@@ -884,9 +864,9 @@ fn translate(kind: &RequestKind, seq_to_req: &HashMap<u64, RequestId>) -> Reques
 /// Replay a (possibly multi-tenant) recorded [`Trace`] through a server
 /// over `devices`, preserving the recorded batch boundaries exactly:
 /// watermark cuts are disabled, each recorded batch is flushed and
-/// barriered before the next is submitted. In deterministic mode the
-/// result is bit-replayable — identical per-tenant censuses — for any
-/// [`ServerConfig::threads`].
+/// barriered before the next is submitted. The result is
+/// bit-replayable — identical per-tenant censuses — in either mode and
+/// for any [`ServerConfig::threads`].
 ///
 /// Victims are recorded as global trace ids; they are translated to the
 /// victim's per-tenant admission id here, so a trace request may only
@@ -969,11 +949,11 @@ mod tests {
         Device::new(Family::Xcv50)
     }
 
-    fn det_cfg(seed: u64) -> ServerConfig {
+    fn det_cfg() -> ServerConfig {
         ServerConfig {
             threads: 4,
             tenant_threads: 2,
-            mode: ExecMode::Deterministic { seed },
+            mode: ExecMode::Deterministic,
             audit: true,
             ..Default::default()
         }
@@ -999,7 +979,7 @@ mod tests {
     #[test]
     fn routes_across_tenants_and_isolates_shards() {
         let (d0, d1) = (dev(), dev());
-        let ((), report) = serve(&[&d0, &d1], det_cfg(1), Recorder::disabled(), |client| {
+        let ((), report) = serve(&[&d0, &d1], det_cfg(), Recorder::disabled(), |client| {
             let a = client.tenant(0);
             let b = client.tenant(1);
             let ta = a.submit(RequestKind::Route(spec(0))).unwrap();
@@ -1012,7 +992,7 @@ mod tests {
         assert_eq!(report.tenants.len(), 2);
         for t in &report.tenants {
             assert_eq!(nets(&t.census).len(), 1, "one net per tenant shard");
-            assert_eq!(t.leaked_claims, Some(0));
+            assert_eq!(t.leaked_segments, Some(0));
             assert!(!t.poisoned);
         }
         // Shards are independent: both tenants routed the *first* net of
@@ -1026,7 +1006,7 @@ mod tests {
     #[test]
     fn unroute_names_victims_by_admission_id() {
         let d = dev();
-        let ((), report) = serve(&[&d], det_cfg(2), Recorder::disabled(), |client| {
+        let ((), report) = serve(&[&d], det_cfg(), Recorder::disabled(), |client| {
             let h = client.tenant(0);
             let route = h.submit(RequestKind::Route(spec(0))).unwrap();
             h.flush();
@@ -1036,7 +1016,7 @@ mod tests {
             assert!(un.wait().is_success());
         });
         assert!(report.tenants[0].census.is_empty(), "net unrouted");
-        assert_eq!(report.tenants[0].leaked_claims, Some(0));
+        assert_eq!(report.tenants[0].leaked_segments, Some(0));
     }
 
     #[test]
@@ -1044,7 +1024,7 @@ mod tests {
         let d = dev();
         let cfg = ServerConfig {
             batch_max: 2,
-            ..det_cfg(3)
+            ..det_cfg()
         };
         let ((), report) = serve(&[&d], cfg, Recorder::disabled(), |client| {
             let h = client.tenant(0);
@@ -1063,7 +1043,7 @@ mod tests {
         let cfg = ServerConfig {
             batch_max: 100,
             batch_wait: 2,
-            ..det_cfg(4)
+            ..det_cfg()
         };
         let ((), report) = serve(&[&d0, &d1], cfg, Recorder::disabled(), |client| {
             let a = client.tenant(0);
@@ -1086,7 +1066,7 @@ mod tests {
         let cfg = ServerConfig {
             queue_capacity: 2,
             batch_max: 100,
-            ..det_cfg(5)
+            ..det_cfg()
         };
         let ((), report) = serve(&[&d], cfg, Recorder::disabled(), |client| {
             let h = client.tenant(0);
@@ -1110,7 +1090,7 @@ mod tests {
         let d = dev();
         let cfg = ServerConfig {
             batch_max: 100,
-            ..det_cfg(6)
+            ..det_cfg()
         };
         let ((), report) = serve(&[&d], cfg, Recorder::disabled(), |client| {
             let h = client.tenant(0);
@@ -1122,7 +1102,7 @@ mod tests {
             assert_eq!(t.wait(), ServerOutcome::Done(RequestOutcome::Cancelled));
         });
         assert!(report.tenants[0].census.is_empty());
-        assert_eq!(report.tenants[0].leaked_claims, Some(0));
+        assert_eq!(report.tenants[0].leaked_segments, Some(0));
     }
 
     #[test]
@@ -1130,7 +1110,7 @@ mod tests {
         let d = dev();
         let cfg = ServerConfig {
             batch_max: 100,
-            ..det_cfg(7)
+            ..det_cfg()
         };
         let (seq, report) = serve(&[&d], cfg, Recorder::disabled(), |client| {
             let h = client.tenant(0);
@@ -1154,7 +1134,7 @@ mod tests {
             fault: FaultPlan {
                 panic_on: Some((0, 1)),
             },
-            ..det_cfg(8)
+            ..det_cfg()
         };
         let ((), report) = serve(&[&d0, &d1], cfg, Recorder::disabled(), |client| {
             let a = client.tenant(0);
@@ -1177,7 +1157,7 @@ mod tests {
         assert!(report.tenants[0].poisoned);
         assert!(!report.tenants[1].poisoned);
         assert_eq!(nets(&report.tenants[1].census).len(), 1);
-        assert_eq!(report.tenants[1].leaked_claims, Some(0));
+        assert_eq!(report.tenants[1].leaked_segments, Some(0));
     }
 
     #[test]
@@ -1185,7 +1165,7 @@ mod tests {
         let d0 = dev();
         let d1 = dev();
         let obs = Recorder::enabled();
-        let ((), report) = serve(&[&d0, &d1], det_cfg(9), obs.clone(), |client| {
+        let ((), report) = serve(&[&d0, &d1], det_cfg(), obs.clone(), |client| {
             for t in 0..2 {
                 let h = client.tenant(t);
                 let ticket = h.submit(RequestKind::Route(spec(t as usize))).unwrap();
@@ -1212,7 +1192,7 @@ mod tests {
         let run = |pool: usize| {
             let cfg = ServerConfig {
                 threads: pool,
-                ..det_cfg(0xFEED)
+                ..det_cfg()
             };
             let ((), report) = serve(&[&d0, &d1], cfg, Recorder::disabled(), |client| {
                 for i in 0..6 {

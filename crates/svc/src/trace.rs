@@ -2,7 +2,7 @@
 //!
 //! A scenario — a stream of `Route` / `Unroute` / `Replace` requests
 //! with priorities and deadlines, split into batches — is itself an
-//! artifact worth keeping: replayed against a deterministic service it
+//! artifact worth keeping: replayed against any service it
 //! is a regression fixture, and replayed under different configs it is
 //! an A/B benchmark input (the `e16_scenarios` rows). This module
 //! defines that artifact: a [`Trace`] with a stable, hand-rolled binary
@@ -586,7 +586,7 @@ impl Codec for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecMode, RequestOutcome, ServiceConfig};
+    use crate::{RequestOutcome, ServiceConfig};
     use jroute::Pin as JPin;
     use virtex::{wire, Device};
 
@@ -766,7 +766,6 @@ mod tests {
         let dev = Device::new(Family::Xcv50);
         let cfg = ServiceConfig {
             threads: 2,
-            mode: ExecMode::Deterministic { seed: 9 },
             audit: true,
             ..Default::default()
         };
@@ -785,7 +784,7 @@ mod tests {
                 .expect("replace outcome"),
             RequestOutcome::Replaced { added, .. } if added.len() == 2
         ));
-        // A second replay into a fresh deterministic service lands on
+        // A second replay into a fresh service lands on
         // the identical census — the fixture property.
         let mut svc2 = RoutingService::new(&dev, cfg);
         t.replay(&mut svc2).unwrap();

@@ -1,8 +1,8 @@
 //! The dense canonical-segment index space and its typed maps.
 //!
 //! Routing state is a property of *canonical segments* ([`Segment`]), and
-//! every hot router structure (occupancy, congestion, search scratch,
-//! claim tables) ultimately wants O(1) per-segment storage. The segment
+//! every hot router structure (occupancy, congestion, search scratch)
+//! ultimately wants O(1) per-segment storage. The segment
 //! space of a device is finite and known up front — `dims.tiles() *`
 //! [`NUM_LOCAL_WIRES`] slots — so sparse `HashMap<Segment, _>` keying
 //! costs hashing and probing for no benefit. This module is the shared

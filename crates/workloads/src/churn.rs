@@ -15,8 +15,9 @@
 //!   same region;
 //! * **retire** — unroute the core and free its region;
 //!
-//! — then runs the batch and audits the committed state (claim-vs-NetDb
-//! leak check, net-count census, monotonic service counters). Any
+//! — then runs the batch and audits the committed state (leak check of
+//! the NetDb against the committed requests, net-count census,
+//! monotonic service counters). Any
 //! violation is returned as a [`ChurnViolation`]; a clean soak of N
 //! steps is N `Ok` results.
 //!
@@ -98,12 +99,13 @@ pub struct StepOutcome {
 /// service corrupted committed state — the soak must abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChurnViolation {
-    /// Claim table and net database disagree (leaked or lost segments).
-    LeakedClaims {
+    /// The net database and the service's committed requests disagree
+    /// (leaked or lost nets).
+    LeakedSegments {
         /// Step that caught it.
         step: usize,
-        /// Disagreeing claim-table slots.
-        slots: usize,
+        /// Disagreeing segments and nets.
+        segments: usize,
     },
     /// The database's net count does not match the live-core bookkeeping.
     NetCount {
@@ -134,10 +136,10 @@ pub enum ChurnViolation {
 impl std::fmt::Display for ChurnViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ChurnViolation::LeakedClaims { step, slots } => {
+            ChurnViolation::LeakedSegments { step, segments } => {
                 write!(
                     f,
-                    "step {step}: {slots} claim slots disagree with the database"
+                    "step {step}: {segments} segments disagree with the committed requests"
                 )
             }
             ChurnViolation::NetCount { step, db, expected } => {
@@ -190,9 +192,8 @@ pub struct ChurnScenario<'d> {
 
 impl<'d> ChurnScenario<'d> {
     /// Scenario over `dev`. The config's `audit` flag is forced on —
-    /// the per-step leak check is the point of the soak. Use a
-    /// [`jroute_svc::ExecMode::Deterministic`] mode if the trace will
-    /// be replayed for census comparison.
+    /// the per-step leak check is the point of the soak. The recorded
+    /// trace replays to the identical census at any worker count.
     pub fn new(dev: &'d Device, mut cfg: ServiceConfig, params: ChurnParams, seed: u64) -> Self {
         cfg.audit = true;
         Self::with_recorder(dev, cfg, params, seed, Recorder::disabled())
@@ -373,9 +374,9 @@ impl<'d> ChurnScenario<'d> {
         };
         let report = self.svc.run_batch();
         self.trace.end_batch();
-        if let Some(slots) = report.leaked_claims {
-            if slots != 0 {
-                return Err(ChurnViolation::LeakedClaims { step, slots });
+        if let Some(segments) = report.leaked_segments {
+            if segments != 0 {
+                return Err(ChurnViolation::LeakedSegments { step, segments });
             }
         }
         let committed = report.outcome(id).is_some_and(|o| o.is_success());
@@ -602,13 +603,11 @@ impl<'d> ChurnScenario<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jroute_svc::ExecMode;
     use virtex::Family;
 
-    fn det_cfg(threads: usize, seed: u64) -> ServiceConfig {
+    fn cfg(threads: usize) -> ServiceConfig {
         ServiceConfig {
             threads,
-            mode: ExecMode::Deterministic { seed },
             audit: true,
             ..Default::default()
         }
@@ -617,7 +616,7 @@ mod tests {
     #[test]
     fn a_short_soak_stays_clean_and_replays() {
         let dev = Device::new(Family::Xcv50);
-        let mut sc = ChurnScenario::new(&dev, det_cfg(2, 5), ChurnParams::default(), 5);
+        let mut sc = ChurnScenario::new(&dev, cfg(2), ChurnParams::default(), 5);
         let mut actions = std::collections::HashSet::new();
         for _ in 0..60 {
             let out = sc.step().expect("no violations");
@@ -630,7 +629,7 @@ mod tests {
         );
         // The recorded trace replays into a fresh service onto the
         // identical census.
-        let mut fresh = RoutingService::new(&dev, det_cfg(2, 5));
+        let mut fresh = RoutingService::new(&dev, cfg(2));
         sc.trace().replay(&mut fresh).expect("trace replays");
         assert_eq!(fresh.db().census(), sc.svc().db().census());
     }
@@ -638,7 +637,7 @@ mod tests {
     #[test]
     fn negotiator_routes_the_live_demand() {
         let dev = Device::new(Family::Xcv50);
-        let mut sc = ChurnScenario::new(&dev, det_cfg(1, 9), ChurnParams::default(), 9);
+        let mut sc = ChurnScenario::new(&dev, cfg(1), ChurnParams::default(), 9);
         for _ in 0..20 {
             sc.step().unwrap();
         }
@@ -654,7 +653,7 @@ mod tests {
         let dev = Device::new(Family::Xcv50);
         let mut sc = ChurnScenario::with_recorder(
             &dev,
-            det_cfg(1, 3),
+            cfg(1),
             ChurnParams::default(),
             3,
             Recorder::enabled(),

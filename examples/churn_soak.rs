@@ -18,7 +18,7 @@ use jroute::obs::RotatingFileSink;
 use jroute::pathfinder::PathFinderConfig;
 use jroute::tuner::TunerReport;
 use jroute::Recorder;
-use jroute_svc::{ExecMode, RoutingService, ServiceConfig};
+use jroute_svc::{RoutingService, ServiceConfig};
 use jroute_workloads::{ChurnAction, ChurnParams, ChurnScenario};
 use virtex::{Device, Family};
 
@@ -27,7 +27,6 @@ const SEED: u64 = 0xC0DE;
 fn det_cfg(threads: usize) -> ServiceConfig {
     ServiceConfig {
         threads,
-        mode: ExecMode::Deterministic { seed: SEED },
         audit: true,
         ..Default::default()
     }

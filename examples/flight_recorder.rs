@@ -5,27 +5,31 @@
 //!
 //! The point of the exercise is *causal* tracing: every request mints a
 //! `svc.request` root span at submission, and the trace context rides the
-//! request through queueing, work-stealing and retry parking, so each
-//! `svc.exec` / `parallel.net` / `maze.search` span — whichever worker
-//! thread it lands on — carries the originating request's trace id. The
-//! example asserts that end to end, then writes:
+//! request into its batch, so each `svc.exec` / `maze.search` span —
+//! whichever worker thread its wave search lands on — carries the
+//! originating request's trace id. The churn trace commits one request
+//! per batch, which runs inline; a final burst of nets with disjoint
+//! search regions on a larger device adds a wave that runs on worker
+//! threads. The example asserts that end to end, then writes:
 //!
 //! * `target/obs-json/flight_recorder/trace.0.jsonl` — Chrome
 //!   `trace_event` JSON; load it at <https://ui.perfetto.dev>,
 //! * `target/obs-json/flight_recorder/metrics.0.jsonl` — Prometheus text
 //!   exposition snapshot,
 //! * `target/obs-json/flight_recorder/window.0.jsonl` — the per-batch
-//!   rolling time-series (queue depth, batch p50/p99, steal rate).
+//!   rolling time-series (queue depth, batch p50/p99, wave and re-search
+//!   rates).
 //!
 //! Run with: `cargo run --release --example flight_recorder [steps]`
 
 use jroute::obs::{prometheus_text, write_chrome_trace, RotatingFileSink};
-use jroute::Recorder;
-use jroute_svc::{ExecMode, RoutingService, ServiceConfig, Trace};
+use jroute::pathfinder::NetSpec;
+use jroute::{Pin, Recorder};
+use jroute_svc::{RequestKind, RoutingService, ServiceConfig, Trace};
 use jroute_workloads::{ChurnParams, ChurnScenario};
 use std::collections::HashSet;
 use std::io::Write;
-use virtex::{Device, Family};
+use virtex::{wire, Device, Family};
 
 const SEED: u64 = 0xF117;
 
@@ -39,7 +43,6 @@ fn main() {
     // ── Record: a deterministic churn produces the .jrt request log ───
     let record_cfg = ServiceConfig {
         threads: 2,
-        mode: ExecMode::Deterministic { seed: SEED },
         audit: true,
         ..Default::default()
     };
@@ -61,7 +64,6 @@ fn main() {
     let recorder = Recorder::enabled();
     let replay_cfg = ServiceConfig {
         threads: 4,
-        mode: ExecMode::Threaded,
         audit: true,
         ..Default::default()
     };
@@ -73,18 +75,36 @@ fn main() {
         summary.submitted, summary.succeeded
     );
 
+    // ── Burst: a grid of nets with disjoint regions: one threaded wave ─
+    let wide = Device::new(Family::Xcv1000);
+    let burst_cfg = ServiceConfig {
+        threads: 4,
+        audit: true,
+        ..Default::default()
+    };
+    let mut burst = RoutingService::with_recorder(&wide, burst_cfg, recorder.clone());
+    for i in 0..12u16 {
+        let (r, c) = (2 + (i / 4) * 22, 2 + (i % 4) * 24);
+        burst
+            .submit(RequestKind::Route(NetSpec::new(
+                Pin::new(r, c, wire::S0_YQ),
+                vec![Pin::new(r + 2, c + 4, wire::S0_F3)],
+            )))
+            .unwrap();
+    }
+    let burst_report = burst.run_batch();
+    assert!(burst_report.outcomes.iter().all(|(_, o)| o.is_success()));
+    println!(
+        "burst: 12 requests with disjoint regions on {}",
+        wide.family()
+    );
+
     // ── Causal linkage audit: every routing span traces to a request ──
     let report = recorder.report();
     let roots: HashSet<u64> = report
         .spans
         .iter()
         .filter(|s| s.name == "svc.request")
-        .map(|s| s.trace)
-        .collect();
-    let batch_traces: HashSet<u64> = report
-        .spans
-        .iter()
-        .filter(|s| s.name == "svc.batch")
         .map(|s| s.trace)
         .collect();
     assert!(!roots.is_empty(), "replay must mint request roots");
@@ -103,14 +123,6 @@ fn main() {
         linked += 1;
     }
     assert!(linked > 0, "the replay must have routed something");
-    // Worker/schedule spans link to their batch instead.
-    for s in report
-        .spans
-        .iter()
-        .filter(|s| matches!(s.name, "svc.worker" | "svc.schedule"))
-    {
-        assert!(batch_traces.contains(&s.trace));
-    }
     // Under threaded execution the exec spans run on worker threads while
     // the submission roots live on the main thread: real hand-offs.
     let root_threads: HashSet<u64> = report

@@ -40,12 +40,12 @@ fn main() {
         let dt = t0.elapsed().as_secs_f64();
         let base = *baseline.get_or_insert(dt);
         println!(
-            "threads={threads}: routed {}/{} in {:>6.1} ms ({} rounds, {} conflicts, {:.2}x)",
+            "threads={threads}: routed {}/{} in {:>6.1} ms ({} waves, {} stale, {:.2}x)",
             result.nets.len(),
             specs.len(),
             dt * 1e3,
-            result.rounds,
-            result.conflicts,
+            result.waves,
+            result.researched,
             base / dt
         );
 

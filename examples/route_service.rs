@@ -2,13 +2,13 @@
 //! through the run-time traffic a reconfiguration controller generates —
 //! a burst of route requests with priorities, then a second batch that
 //! unroutes, replaces and cancels against the committed state — and
-//! inspect the scheduler's work-stealing telemetry.
+//! inspect the engine's wave telemetry.
 //!
 //! Run with: `cargo run --release --example route_service`
 
 use detrand::DetRng;
 use jroute::Recorder;
-use jroute_svc::{Deadline, ExecMode, RequestKind, RequestOutcome, RoutingService, ServiceConfig};
+use jroute_svc::{Deadline, RequestKind, RequestOutcome, RoutingService, ServiceConfig};
 use jroute_workloads::{random_netlist, NetlistParams};
 use virtex::{Device, Family};
 
@@ -19,11 +19,7 @@ fn main() {
         ..Default::default()
     };
     let mut svc = RoutingService::with_recorder(&device, cfg, Recorder::enabled());
-    println!(
-        "service on {} with {} workers (threaded mode)\n",
-        device.family(),
-        4
-    );
+    println!("service on {} with {} workers\n", device.family(), 4);
 
     // ── Batch 1: a burst of route requests at mixed priorities ────────
     let mut rng = DetRng::seed_from_u64(7);
@@ -55,12 +51,10 @@ fn main() {
         .filter(|&id| report.outcome(id).is_some_and(|o| o.is_success()))
         .collect();
     println!(
-        "batch 1: {}/{} routed  ({} executions, {} steals, {} retries)",
+        "batch 1: {}/{} routed  ({} stale results re-searched at commit)",
         routed.len(),
         ids.len(),
-        report.executed,
-        report.steals,
-        report.retries
+        report.researched
     );
 
     // ── Batch 2: the §5 core-swap pattern against committed state ─────
@@ -109,7 +103,7 @@ fn main() {
             }
             RequestOutcome::Cancelled => "cancelled".into(),
             RequestOutcome::Expired => "deadline expired".into(),
-            RequestOutcome::Congested { attempts } => format!("congested after {attempts} tries"),
+            RequestOutcome::Congested {} => "congested".into(),
             RequestOutcome::Rejected(r) => format!("rejected: {r:?}"),
         };
         println!("  request {id:>3}: {tag}");
@@ -118,36 +112,37 @@ fn main() {
     assert_eq!(report.outcome(hopeless), Some(&RequestOutcome::Expired));
     println!("\ncommitted nets now live: {}", svc.db().len());
 
-    // ── Telemetry: what the scheduler measured ────────────────────────
+    // ── Telemetry: what the engine measured ───────────────────────────
     let obs = svc.recorder().report();
     println!("\n{obs}");
 
     // ── The same workload, bit-for-bit reproducible ───────────────────
-    // Deterministic mode replays a seeded schedule: same seed, same
-    // completion log, same final state — the substrate the stress suite
-    // uses to diff the service against a sequential model.
-    let det = ServiceConfig {
-        threads: 4,
-        mode: ExecMode::Deterministic { seed: 42 },
-        ..Default::default()
-    };
-    let replay = |seed_note: &str| {
-        let mut svc = RoutingService::new(&device, det.clone());
+    // Every batch commits in (priority, submission) order whatever the
+    // worker count: same requests, same commit log, same final state —
+    // the substrate the stress suite uses to diff the service against a
+    // sequential model.
+    let replay = |threads: usize| {
+        let cfg = ServiceConfig {
+            threads,
+            ..Default::default()
+        };
+        let mut svc = RoutingService::new(&device, cfg);
         for s in &specs {
             svc.submit(RequestKind::Route(s.clone())).unwrap();
         }
         let report = svc.run_batch();
         let log: Vec<_> = report.log.iter().map(|e| (e.step, e.request)).collect();
         println!(
-            "deterministic {}: {} completions, first five steps {:?}",
-            seed_note,
+            "{} workers: {} commits, first five steps {:?}, {} nets",
+            threads,
             log.len(),
-            &log[..5.min(log.len())]
+            &log[..5.min(log.len())],
+            svc.db().len()
         );
-        log
+        (log, svc.db().census())
     };
-    let a = replay("run A");
-    let b = replay("run B");
-    assert_eq!(a, b, "same seed must reproduce the schedule");
-    println!("deterministic replay: schedules identical");
+    let a = replay(1);
+    let b = replay(4);
+    assert_eq!(a, b, "every width must reproduce the commit log and state");
+    println!("deterministic replay: commit logs and states identical");
 }

@@ -5,8 +5,9 @@
 # so everything here must succeed with networking disabled. The script
 # builds release, runs the full test suite (unit + the workspace-level
 # integration/property/RTR suites hosted by crates/tests), then
-# smoke-runs one microbench (emitting machine-readable JSON under
-# target/bench-json/) and one example.
+# smoke-runs the microbenches (emitting machine-readable JSON under
+# target/bench-json/), the examples and the outside-in jrbench
+# workloads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,6 +113,18 @@ echo "    wrote target/obs-json/OBS_quickstart.json"
 OBS_SHAPE_CHECK="$PWD/target/obs-json/OBS_quickstart.json" \
     cargo test -q --offline -p jroute-tests --test observability \
     exported_quickstart_json_is_valid_when_pointed_at
+
+echo "==> jrbench: build the outside-in benchmark and smoke-run every workload"
+# The benchmark links the repository's crates by path through their
+# public APIs, so a public-API change that breaks it fails here. Each
+# workload checks its own results (the server workload replays every
+# tenant's log through the sequential model) and exits 1 when a
+# correctness check fails.
+cargo build --release --offline --manifest-path jrbench/Cargo.toml
+for workload in rtr_cores negotiate server_open; do
+    cargo run --quiet --release --offline --manifest-path jrbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 3 --trace 0 2>/dev/null | tail -1
+done
 
 # Opt-in bench regression gate: regenerate every experiment the
 # checked-in baseline covers (e1–e20), then diff medians against

@@ -4,11 +4,11 @@
 //! This is the scenario-corpus endurance test (ISSUE PR 6 acceptance):
 //!
 //! * **1000 steps, 1 worker and 4 workers** — every step's batch must
-//!   report `leaked_claims == Some(0)` and pass the scenario's own
-//!   claim-vs-NetDb census audit (both enforced inside
+//!   report `leaked_segments == Some(0)` and pass the scenario's own
+//!   net-count census audit (both enforced inside
 //!   [`ChurnScenario::step`]; any violation aborts the test).
 //! * **Replay census equality** — the recorded trace replayed into a
-//!   fresh deterministic service reproduces the soaked service's exact
+//!   fresh service reproduces the soaked service's exact
 //!   segment census, so a thousand steps of churn leave nothing behind
 //!   that a from-scratch execution would not also leave.
 //! * **Bounded negotiation** — periodically re-negotiating the live
@@ -19,7 +19,7 @@
 
 use jroute::pathfinder::PathFinderConfig;
 use jroute::Recorder;
-use jroute_svc::{ExecMode, RoutingService, ServiceConfig};
+use jroute_svc::{RoutingService, ServiceConfig};
 use jroute_workloads::{ChurnParams, ChurnScenario};
 use virtex::{Device, Family};
 
@@ -29,7 +29,6 @@ const SEED: u64 = 0x50AC; // "soak"
 fn det_cfg(threads: usize) -> ServiceConfig {
     ServiceConfig {
         threads,
-        mode: ExecMode::Deterministic { seed: SEED },
         audit: true,
         ..Default::default()
     }
@@ -67,7 +66,7 @@ fn soak_and_replay(threads: usize) {
     let summary = sc.trace().replay(&mut fresh).expect("trace replays");
     assert_eq!(summary.submitted, sc.trace().len());
     for report in &summary.reports {
-        assert_eq!(report.leaked_claims, Some(0), "replay leaked claims");
+        assert_eq!(report.leaked_segments, Some(0), "replay leaked segments");
     }
     assert_eq!(
         fresh.db().census(),

@@ -284,25 +284,26 @@ fn rotating_sink_has_no_torn_lines_under_concurrent_writers() {
 /// Drive a real threaded service batch and assert both halves of the
 /// tentpole: the Chrome export is shape-valid, and every routing span is
 /// causally linked to the `svc.request` root that triggered it — across
-/// work-stealing thread hand-offs.
+/// work-stealing thread hand-offs. The nets sit on a grid wide enough
+/// apart that their search regions are disjoint, so the batch runs as
+/// one wave on worker threads.
 #[test]
 fn chrome_export_of_a_threaded_batch_links_every_routing_span() {
     use jroute::obs::chrome_trace_json;
     use jroute::pathfinder::NetSpec;
-    use jroute_svc::{ExecMode, RequestKind, RoutingService, ServiceConfig};
+    use jroute_svc::{RequestKind, RoutingService, ServiceConfig};
 
-    let device = Device::new(Family::Xcv50);
+    let device = Device::new(Family::Xcv1000);
     let rec = Recorder::enabled();
     let cfg = ServiceConfig {
         threads: 4,
-        mode: ExecMode::Threaded,
         audit: true,
         ..Default::default()
     };
     let mut svc = RoutingService::with_recorder(&device, cfg, rec.clone());
     for i in 0..12usize {
-        let r = (2 + (i * 3) % 12) as u16;
-        let c = (2 + (i * 5) % 16) as u16;
+        let r = (2 + (i / 4) * 22) as u16;
+        let c = (2 + (i % 4) * 24) as u16;
         svc.submit(RequestKind::Route(NetSpec::new(
             Pin::new(r, c, wire::S0_YQ),
             vec![Pin::new(r + 2, c + 4, wire::S0_F3)],

@@ -376,14 +376,13 @@ fn steal_deque_matches_reference_queue() {
 /// and returns one result per task.
 #[test]
 fn work_stealing_scheduler_runs_every_task_once() {
-    use jroute::SchedulerKind;
     use std::sync::atomic::{AtomicU32, Ordering};
     harness::check("work_stealing_scheduler_runs_every_task_once", |rng| {
         let n = rng.gen_range(0usize..200);
         let threads = rng.gen_range(1usize..9);
         let tasks: Vec<u64> = (0..n as u64).collect();
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let run = SchedulerKind::WorkStealing.run(
+        let run = jroute::StealScheduler.run(
             threads,
             &tasks,
             |_| (),
@@ -500,7 +499,7 @@ fn incremental_pathfinder_matches_full_ripup_reference() {
 /// and a cancelled request never commits.
 #[test]
 fn service_batches_terminate_with_one_outcome_each() {
-    use jroute_svc::{ExecMode, RequestKind, RoutingService, ServiceConfig};
+    use jroute_svc::{RequestKind, RoutingService, ServiceConfig};
     use jroute_workloads::NetlistParams;
     harness::check_with(
         "service_batches_terminate_with_one_outcome_each",
@@ -513,7 +512,6 @@ fn service_batches_terminate_with_one_outcome_each() {
                 &dev,
                 ServiceConfig {
                     threads,
-                    mode: ExecMode::Deterministic { seed },
                     audit: true,
                     ..Default::default()
                 },
@@ -543,7 +541,7 @@ fn service_batches_terminate_with_one_outcome_each() {
             token.cancel();
             let report = svc.run_batch();
             assert_eq!(report.outcomes.len(), ids.len() + 1);
-            assert_eq!(report.leaked_claims, Some(0));
+            assert_eq!(report.leaked_segments, Some(0));
             for id in &ids {
                 assert!(report.outcome(*id).is_some(), "request {id} has no outcome");
             }
@@ -1087,8 +1085,8 @@ fn batch_former_never_holds_past_the_age_watermark() {
     });
 }
 
-/// Within one tenant, one batch and one worker, the server completes
-/// requests in strict priority order (lower first, ties by admission).
+/// Within one tenant and one batch, the server completes requests in
+/// strict priority order (lower first, ties by admission) at any width.
 #[test]
 fn server_completes_one_tenant_batch_in_priority_order() {
     use jroute::obs::Recorder;
@@ -1102,10 +1100,8 @@ fn server_completes_one_tenant_batch_in_priority_order() {
             let priorities: Vec<u8> = (0..n).map(|_| rng.gen_range(0u8..4)).collect();
             let cfg = ServerConfig {
                 threads: 2,
-                tenant_threads: 1, // one worker: completion order = start order
-                mode: ExecMode::Deterministic {
-                    seed: rng.gen_range(0u64..u64::MAX),
-                },
+                tenant_threads: rng.gen_range(1usize..4),
+                mode: ExecMode::Deterministic,
                 audit: true,
                 batch_max: usize::MAX,
                 batch_wait: u64::MAX,

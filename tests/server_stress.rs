@@ -1,21 +1,23 @@
-//! Multi-tenant server stress tests: the deterministic server against
-//! the sequential model, across seeds, pool widths and tenant counts.
+//! Multi-tenant server stress tests: the server against the sequential
+//! model, across seeds, pool widths, tenant counts and both batch
+//! clocks.
 //!
-//! The server (DESIGN.md §3.8) promises that in
-//! [`ExecMode::Deterministic`] the shared-pool width is invisible: a
-//! fixed submission trace produces bit-identical per-tenant results at
-//! 1, 4 or 8 pool threads, because each tenant's schedule is a pure
-//! function of (derived seed, `tenant_threads`, batch contents). These
-//! tests drive that promise end-to-end with [`tenant_mix`] workloads:
+//! The server (DESIGN.md §3.8) promises that every tenant batch is a
+//! serialization in `(priority, admission)` order whatever width its
+//! executor leased, so in [`ExecMode::Deterministic`] — where batch
+//! boundaries depend only on the admission sequence — a fixed
+//! submission trace produces bit-identical per-tenant results at 1, 4
+//! or 8 pool threads. These tests drive that promise end-to-end with
+//! [`tenant_mix`] workloads:
 //!
 //! * every tenant's committed census must equal a single-threaded
-//!   [`SequentialModel`] replay of its own completion log — same
-//!   segments, same `NetId`s;
-//! * the isolation audit: no admission, outcome, log entry or claim of
-//!   one tenant may reference another tenant's shard, and every claim
-//!   audit must come back clean;
-//! * the full per-tenant (census, log) pair must be identical across
-//!   pool widths {1, 4, 8};
+//!   [`SequentialModel`] replay of its own commit log — same segments,
+//!   same `NetId`s — in either mode and at every pool width;
+//! * the isolation audit: no admission, outcome or log entry of one
+//!   tenant may reference another tenant's shard, and every leak audit
+//!   must come back clean;
+//! * in deterministic mode the full per-tenant (census, log) pair must
+//!   be identical across pool widths {1, 4, 8};
 //! * a recorded tenant-tagged trace replayed through the server path
 //!   ([`server::replay_trace`]) must agree with per-shard standalone
 //!   replays of its [`Trace::subtrace`] projections under the exact
@@ -26,7 +28,8 @@ use jroute::maze::MazeConfig;
 use jroute_svc::model::SequentialModel;
 use jroute_svc::server::{replay_trace, tenant_service_config};
 use jroute_svc::{
-    serve, Deadline, ExecMode, RequestKind, RoutingService, ServerConfig, TenantId, Trace, TraceOp,
+    serve, Deadline, ExecMode, RequestKind, RoutingService, ServerConfig, TenantId, TenantReport,
+    Trace, TraceOp,
 };
 use jroute_workloads::{tenant_mix, TenantMixParams};
 use std::collections::HashMap;
@@ -50,14 +53,15 @@ fn mix_params(tenants: u16) -> TenantMixParams {
     }
 }
 
-fn server_cfg(pool: usize, seed: u64) -> ServerConfig {
+fn server_cfg(pool: usize, mode: ExecMode) -> ServerConfig {
     ServerConfig {
         threads: pool,
         tenant_threads: 2,
-        mode: ExecMode::Deterministic { seed },
+        mode,
         audit: true,
         // Watermarks off: the test controls batch boundaries via flush,
-        // so every width sees the identical batch structure.
+        // so in deterministic mode every width sees the identical batch
+        // structure.
         batch_max: usize::MAX,
         batch_wait: u64::MAX,
         ..Default::default()
@@ -118,6 +122,67 @@ fn drive(
     (kinds, report.tenants)
 }
 
+/// Per-tenant checks of one server run: clean leak audit, no poisoning,
+/// the isolation audit, and the census of a sequential replay of the
+/// tenant's own log.
+fn check_against_model(
+    devices: &[Device],
+    kinds: &HashMap<(TenantId, u64), RequestKind>,
+    reports: &[TenantReport],
+    label: &str,
+) {
+    for t in reports {
+        assert_eq!(
+            t.leaked_segments,
+            Some(0),
+            "{label} tenant {}: leaked segments",
+            t.tenant
+        );
+        assert!(!t.poisoned);
+
+        // Isolation: every admission this tenant answered was admitted
+        // through this tenant's gate (dense ids), and every victim its
+        // requests name is its own admission.
+        for (i, &(seq, _)) in t.outcomes.iter().enumerate() {
+            assert_eq!(seq, i as u64, "tenant admission ids are dense");
+        }
+        for entry in &t.log {
+            let kind = &kinds[&(t.tenant, entry.seq)];
+            let victims: Vec<u64> = match kind {
+                RequestKind::Route(_) => Vec::new(),
+                RequestKind::Unroute(v) => vec![*v],
+                RequestKind::Replace { remove, .. } => remove.clone(),
+            };
+            for v in victims {
+                assert!(
+                    kinds.contains_key(&(t.tenant, v)),
+                    "tenant {} names victim {v} outside its shard",
+                    t.tenant
+                );
+            }
+        }
+
+        // Model diff: replay the successful log entries sequentially;
+        // the shard census must match exactly.
+        let dev = &devices[usize::from(t.tenant)];
+        let mut model = SequentialModel::new(dev, MazeConfig::default());
+        for entry in &t.log {
+            if t.outcome(entry.seq)
+                .expect("logged => answered")
+                .is_success()
+            {
+                model.apply(entry.seq, &kinds[&(t.tenant, entry.seq)]);
+            }
+        }
+        assert_eq!(
+            model.db().census(),
+            t.census,
+            "{label} tenant {}: census drifted from model",
+            t.tenant
+        );
+    }
+}
+
 /// The deterministic server agrees with a per-tenant sequential replay
 /// of its own logs, for every seed × pool width × tenant count, and the
 /// isolation audit holds.
@@ -132,60 +197,15 @@ fn deterministic_server_matches_sequential_model_across_widths() {
 
             let mut baseline: Option<Vec<_>> = None;
             for pool in POOL_WIDTHS {
-                let (kinds, reports) = drive(&refs, server_cfg(pool, seed), &trace);
+                let cfg = server_cfg(pool, ExecMode::Deterministic);
+                let (kinds, reports) = drive(&refs, cfg, &trace);
                 assert_eq!(reports.len(), usize::from(tenants));
-
-                for t in &reports {
-                    // Claim audit clean, tenant never poisoned.
-                    assert_eq!(
-                        t.leaked_claims,
-                        Some(0),
-                        "seed {seed:#x} pool {pool} tenant {}: leaked claims",
-                        t.tenant
-                    );
-                    assert!(!t.poisoned);
-
-                    // Isolation: every admission this tenant answered was
-                    // admitted through this tenant's gate (dense ids), and
-                    // every victim its requests name is its own admission.
-                    for (i, &(seq, _)) in t.outcomes.iter().enumerate() {
-                        assert_eq!(seq, i as u64, "tenant admission ids are dense");
-                    }
-                    for entry in &t.log {
-                        let kind = &kinds[&(t.tenant, entry.seq)];
-                        let victims: Vec<u64> = match kind {
-                            RequestKind::Route(_) => Vec::new(),
-                            RequestKind::Unroute(v) => vec![*v],
-                            RequestKind::Replace { remove, .. } => remove.clone(),
-                        };
-                        for v in victims {
-                            assert!(
-                                kinds.contains_key(&(t.tenant, v)),
-                                "tenant {} names victim {v} outside its shard",
-                                t.tenant
-                            );
-                        }
-                    }
-
-                    // Model diff: replay the successful log entries
-                    // sequentially; the shard census must match exactly.
-                    let dev = &devices[usize::from(t.tenant)];
-                    let mut model = SequentialModel::new(dev, MazeConfig::default());
-                    for entry in &t.log {
-                        if t.outcome(entry.seq)
-                            .expect("logged => answered")
-                            .is_success()
-                        {
-                            model.apply(entry.seq, &kinds[&(t.tenant, entry.seq)]);
-                        }
-                    }
-                    assert_eq!(
-                        model.db().census(),
-                        t.census,
-                        "seed {seed:#x} pool {pool} tenant {}: census drifted from model",
-                        t.tenant
-                    );
-                }
+                check_against_model(
+                    &devices,
+                    &kinds,
+                    &reports,
+                    &format!("seed {seed:#x} pool {pool}"),
+                );
 
                 // Pool width must be invisible: identical census and log
                 // at 1, 4 and 8 shared threads.
@@ -205,6 +225,32 @@ fn deterministic_server_matches_sequential_model_across_widths() {
     }
 }
 
+/// With the wall-clock batch clock, batch boundaries follow arrival
+/// timing, but every tenant still matches the sequential replay of its
+/// own log at pool widths 1, 2 and 4 — on a device large enough that
+/// disjoint search regions run in parallel waves.
+#[test]
+fn threaded_server_matches_sequential_model_at_every_width() {
+    for seed in SEEDS {
+        let tenants: u16 = 2;
+        let devices: Vec<Device> = (0..tenants).map(|_| Device::new(Family::Xcv300)).collect();
+        let refs: Vec<&Device> = devices.iter().collect();
+        let mut rng = DetRng::seed_from_u64(seed);
+        let trace = tenant_mix(&devices[0], &mix_params(tenants), &mut rng);
+        for pool in [1, 2, 4] {
+            let cfg = server_cfg(pool, ExecMode::Threaded);
+            let (kinds, reports) = drive(&refs, cfg, &trace);
+            assert_eq!(reports.len(), usize::from(tenants));
+            check_against_model(
+                &devices,
+                &kinds,
+                &reports,
+                &format!("threaded seed {seed:#x} pool {pool}"),
+            );
+        }
+    }
+}
+
 /// Server-path trace replay agrees with standalone per-shard replays:
 /// `replay_trace` over the whole tagged trace produces, per tenant, the
 /// census a fresh `RoutingService` reaches replaying that tenant's
@@ -219,13 +265,13 @@ fn server_trace_replay_matches_per_shard_standalone_replay() {
     let trace = tenant_mix(&devices[0], &mix_params(tenants), &mut rng);
     trace.validate().unwrap();
 
-    let cfg = server_cfg(4, seed);
+    let cfg = server_cfg(4, ExecMode::Deterministic);
     let report =
         replay_trace(&refs, &cfg, Recorder::disabled(), &trace).expect("valid trace replays");
 
     for t in 0..tenants {
         let shard = trace.subtrace(t);
-        let mut svc = RoutingService::new(&devices[usize::from(t)], tenant_service_config(&cfg, t));
+        let mut svc = RoutingService::new(&devices[usize::from(t)], tenant_service_config(&cfg));
         shard.replay(&mut svc).expect("subtrace replays standalone");
         assert_eq!(
             svc.db().census(),
