@@ -23,6 +23,8 @@
 //! protected against contention because every router mutation re-checks
 //! the bitstream, not just its own net database.
 
+mod template_match;
+
 use crate::endpoint::{EndPoint, Pin, PortId};
 use crate::error::{NetId, Result, RouteError};
 use crate::maze::{self, MazeConfig, MazeScratch};
@@ -38,8 +40,9 @@ use crate::unroute;
 use jbits::{Bitstream, Pip};
 use jroute_obs::{Recorder, Report};
 use std::sync::Arc;
+use template_match::{TemplateMatcher, TEMPLATE_BUDGET};
 use virtex::segment::Tap;
-use virtex::{template_value, Device, RowCol, Segment, Wire};
+use virtex::{Device, RowCol, Segment, Wire};
 
 /// Router behaviour knobs.
 #[derive(Debug, Clone)]
@@ -104,6 +107,7 @@ pub struct Router {
     nets: NetDb,
     ports: PortDb,
     scratch: MazeScratch,
+    matcher: TemplateMatcher,
     opts: RouterOptions,
     stats: RouterStats,
     remembered: Vec<Remembered>,
@@ -126,6 +130,7 @@ impl Router {
             nets: NetDb::new(device.seg_space()),
             ports: PortDb::new(),
             scratch: MazeScratch::new(device),
+            matcher: TemplateMatcher::default(),
             opts,
             stats: RouterStats::default(),
             remembered: Vec::new(),
@@ -455,7 +460,7 @@ impl Router {
         let net = self.net_for_source(start, start_seg)?;
         self.stats.template_attempts += 1;
         let pips = self
-            .template_search(start_seg, goal, template, net)
+            .template_search(start_seg, goal, template)
             .ok_or(RouteError::TemplateExhausted)?;
         self.commit_pips(net, &pips)?;
         self.stats.template_successes += 1;
@@ -464,84 +469,34 @@ impl Router {
 
     /// Depth-first template matcher, per §3.1: at each step consider the
     /// wires the current wire drives, keep those whose template value
-    /// matches and which are not in use, and recurse with the rest of the
-    /// template. Backtracking is budgeted: long templates on congested
-    /// fabric would otherwise backtrack exponentially, and the intended
-    /// behaviour (§3.1) is to fail fast and fall back to the maze.
+    /// matches and which are not in use, and descend with the rest of the
+    /// template. Backtracking is budgeted ([`TEMPLATE_BUDGET`] nodes):
+    /// long templates on congested fabric would otherwise backtrack
+    /// exponentially, and the intended behaviour (§3.1) is to fail fast
+    /// and fall back to the maze.
+    ///
+    /// **Memo and budget replay.** The nets and the bitstream are frozen
+    /// during a search, so whether the subtree below `(segment, depth)`
+    /// holds a match, and what a full search of it costs, depend on that
+    /// pair alone. A subtree that fails with budget left was searched in
+    /// full; its cost is recorded, and a later visit charges that cost
+    /// (saturating at zero) and fails without searching. The plain
+    /// search does exactly that on the same visit: it searches the
+    /// subtree again at the same cost, or runs out of budget inside it.
+    /// So the first path found and the budget spent, and with them every
+    /// [`RouterStats`] counter and every maze fallback, are those of the
+    /// plain search, which the unit tests keep as the oracle.
     fn template_search(
         &mut self,
         start: Segment,
         goal: Segment,
         template: &Template,
-        net: NetId,
     ) -> Option<Vec<(RowCol, Pip)>> {
-        const TEMPLATE_BUDGET: usize = 4_096;
-        fn recur(
-            r: &Router,
-            cur: Segment,
-            goal: Segment,
-            values: &[virtex::TemplateValue],
-            net: NetId,
-            acc: &mut Vec<(RowCol, Pip)>,
-            budget: &mut usize,
-        ) -> bool {
-            if *budget == 0 {
-                return false;
-            }
-            *budget -= 1;
-            let Some((&want, rest)) = values.split_first() else {
-                return cur == goal;
-            };
-            let mut taps: Vec<Tap> = Vec::with_capacity(4);
-            virtex::segment::taps(r.device.dims(), cur, &mut taps);
-            let mut fanout: Vec<Wire> = Vec::with_capacity(40);
-            for tap in &taps {
-                fanout.clear();
-                r.device.arch().pips_from(tap.rc, tap.wire, &mut fanout);
-                for &to in &fanout {
-                    if template_value(to) != want {
-                        continue;
-                    }
-                    let Some(next) = r.device.canonicalize(tap.rc, to) else {
-                        continue;
-                    };
-                    let is_goal = next == goal;
-                    if rest.is_empty() != is_goal {
-                        // Must land exactly on the goal with the last step.
-                        continue;
-                    }
-                    // "checks to make sure the wire is not already in
-                    // use" — including by this net's own earlier
-                    // branches: a driven wire cannot take a second
-                    // driving PIP (§3.4).
-                    let _ = net;
-                    if r.nets.is_used(next) || r.bits.is_segment_driven(next) {
-                        continue;
-                    }
-                    acc.push((tap.rc, Pip::new(tap.wire, to)));
-                    if recur(r, next, goal, rest, net, acc, budget) {
-                        return true;
-                    }
-                    acc.pop();
-                }
-            }
-            false
-        }
-        let mut acc = Vec::with_capacity(template.len());
+        let mut matcher = std::mem::take(&mut self.matcher);
         let mut budget = TEMPLATE_BUDGET;
-        if recur(
-            self,
-            start,
-            goal,
-            template.values(),
-            net,
-            &mut acc,
-            &mut budget,
-        ) {
-            Some(acc)
-        } else {
-            None
-        }
+        let found = matcher.search(self, start, goal, template.values(), &mut budget);
+        self.matcher = matcher;
+        found
     }
 
     // ----------------------------------------------------------------
@@ -720,7 +675,7 @@ impl Router {
             let cands = templates_db::candidates(src.rc, src.wire, sink.rc, sink.wire);
             for t in &cands {
                 self.stats.template_attempts += 1;
-                if let Some(pips) = self.template_search(src_seg, goal, t, net) {
+                if let Some(pips) = self.template_search(src_seg, goal, t) {
                     // A template path can still lose a race against state
                     // the search could not see (commit re-checks the
                     // bitstream); treat that as a template failure and
@@ -986,12 +941,38 @@ mod tests {
             .route_template(Pin::new(5, 7, wire::S1_YQ), wire::S0_F3, &t)
             .unwrap_err();
         assert!(matches!(err, RouteError::TemplateExhausted));
+        assert_eq!(r.stats().template_attempts, 1);
+        assert_eq!(r.stats().template_successes, 0);
         // Walking off the chip is detected before searching.
         let t = Template::new(vec![T::OutMux, T::South6, T::ClbIn]);
         let err = r
             .route_template(Pin::new(2, 7, wire::S1_YQ), wire::S0_F3, &t)
             .unwrap_err();
         assert!(matches!(err, RouteError::TemplateOffChip));
+        assert_eq!(r.stats().template_attempts, 1, "off-chip is not an attempt");
+        // A user template far longer than any predefined one (hundreds
+        // of steps, back and forth) is searched like any other; the
+        // search backtracks into subtrees it has already seen fail and
+        // replays them from its memo.
+        r.set_recorder(Recorder::enabled());
+        let mut steps = vec![T::OutMux];
+        for _ in 0..150 {
+            steps.extend([T::East1, T::West1]);
+        }
+        steps.push(T::ClbIn);
+        let err = r
+            .route_template(
+                Pin::new(5, 7, wire::S1_YQ),
+                wire::S0_F3,
+                &Template::new(steps),
+            )
+            .unwrap_err();
+        assert!(matches!(err, RouteError::TemplateExhausted));
+        assert_eq!(r.stats().template_attempts, 2);
+        let report = r.obs_report();
+        let nodes = report.counter("template.nodes").unwrap_or(0);
+        assert!(nodes > 0 && nodes < TEMPLATE_BUDGET as u64, "nodes {nodes}");
+        assert!(report.counter("template.replayed").unwrap_or(0) > 0);
     }
 
     #[test]

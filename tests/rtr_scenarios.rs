@@ -1,6 +1,7 @@
 //! Run-time reconfiguration scenario tests (paper §3.3): replace,
 //! relocate, and reconnect under adverse conditions.
 
+use detrand::DetRng;
 use jbits::snapshot;
 use jroute::{EndPoint, Pin, PortDir, Router};
 use jroute_cores::{
@@ -216,4 +217,99 @@ fn hierarchical_port_reconnection_after_inner_rebind() {
     assert!(r.remembered().is_empty());
     let net = r.trace(&stim.out_ports()[0].into()).unwrap();
     assert_eq!(net.sinks, vec![Pin::new(10, 14, wire::S1_F1)]);
+}
+
+/// A short seeded `replace_with`/`relocate` stream on an XCV1000
+/// pipeline (stimulus → multiplier → adder). The auto-router runs its
+/// §3.1 template fast path on every bus bit, so the router's work
+/// counters pin the template matcher's results: a matcher that found a
+/// different first path, spent its budget differently or fell back to
+/// the maze on a different attempt moves at least one of them. The
+/// golden values were recorded with the plain budgeted depth-first
+/// matcher.
+#[test]
+fn seeded_rtr_stream_keeps_its_golden_router_counters() {
+    let dev = Device::new(Family::Xcv1000);
+    let mut r = Router::new(&dev);
+    let mut stim = StimulusBank::new(4, RowCol::new(10, 10));
+    let mut mul = ConstMultiplier::new(3, 8, RowCol::new(10, 18));
+    let mut add = ConstAdder::new(8, 17, RowCol::new(10, 28));
+    stim.implement(&mut r).unwrap();
+    mul.implement(&mut r).unwrap();
+    add.implement(&mut r).unwrap();
+    let ports = |ids: &[jroute::PortId]| ids.iter().map(|&p| p.into()).collect::<Vec<EndPoint>>();
+    r.route_bus(&ports(stim.out_ports()), &ports(mul.a_ports()))
+        .unwrap();
+    r.route_bus(&ports(mul.p_ports()), &ports(add.a_ports()))
+        .unwrap();
+
+    let before = r.stats().clone();
+    let mut rng = DetRng::seed_from_u64(2026);
+    for step in 0..16 {
+        match step % 4 {
+            0 => {
+                let k = rng.gen_range(1..16u8);
+                replace_with(&mut mul, &mut r, |m| m.set_constant(k)).unwrap();
+            }
+            1 => {
+                let c = rng.gen_range(0..256u64);
+                replace_with(&mut add, &mut r, |a| a.set_constant(c)).unwrap();
+            }
+            // The multiplier moves within columns 16..=22 and the adder
+            // within 26..=32, so neither lands on another core's sites.
+            2 => {
+                let to = RowCol::new(rng.gen_range(6..15u16), rng.gen_range(16..23u16));
+                relocate(&mut mul, &mut r, to).unwrap();
+            }
+            _ => {
+                let to = RowCol::new(rng.gen_range(6..15u16), rng.gen_range(26..33u16));
+                relocate(&mut add, &mut r, to).unwrap();
+            }
+        }
+        assert!(r.remembered().is_empty(), "step {step} left remembered");
+    }
+    let after = r.stats();
+    let delta = |f: fn(&jroute::RouterStats) -> usize| f(after) - f(&before);
+    let golden = [
+        ("template_attempts", delta(|s| s.template_attempts), 1052),
+        ("template_successes", delta(|s| s.template_successes), 234),
+        ("maze_fallbacks", delta(|s| s.maze_fallbacks), 278),
+        ("maze_searches", delta(|s| s.maze_searches), 390),
+        (
+            "maze_nodes_expanded",
+            delta(|s| s.maze_nodes_expanded),
+            18_175,
+        ),
+        ("pips_set", delta(|s| s.pips_set), 2_930),
+        ("pips_cleared", delta(|s| s.pips_cleared), 2_976),
+    ];
+    for (name, got, want) in golden {
+        assert_eq!(got, want, "{name} moved off its golden value");
+    }
+
+    // The stream ends in a working design: sum = a·k + c for every a.
+    let mut sim = Simulator::new(r.bits());
+    for a in 0..16u64 {
+        for bit in 0..stim.width() {
+            let pin = stim.driver_pin(bit);
+            sim.force(
+                LogicSource::Yq {
+                    rc: pin.rc,
+                    slice: 1,
+                },
+                (a >> bit) & 1 == 1,
+            );
+        }
+        let got = (0..add.width()).fold(0u64, |acc, j| {
+            let bit = sim
+                .read(LogicSource::X {
+                    rc: add.sum_site(j),
+                    slice: 0,
+                })
+                .unwrap();
+            acc | (bit as u64) << j
+        });
+        let want = (a * u64::from(mul.constant()) + add.constant()) & 0xFF;
+        assert_eq!(got, want, "a = {a}");
+    }
 }
