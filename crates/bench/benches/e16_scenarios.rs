@@ -1,7 +1,6 @@
-//! E16: scenario corpus — trace replay, adversarial workloads, and
-//! telemetry-driven self-tuning.
+//! E16: scenario corpus — trace replay and adversarial workloads.
 //!
-//! Three questions this table answers:
+//! Two questions this table answers:
 //!
 //! 1. **Replay fidelity** — a churn soak recorded into a `.jrt` trace
 //!    must replay into a fresh deterministic service onto the identical
@@ -10,16 +9,10 @@
 //! 2. **Adversarial routability** — the generators built to hurt
 //!    (congestion cliques, long-line starvation, hotspot storms) must
 //!    still converge under the default negotiated config.
-//! 3. **Does the tuner pay?** — route each adversarial workload cold
-//!    with the static default, fold the telemetry through
-//!    [`TunerReport`], re-route with the tuned config. The gate
-//!    asserts the tuned config never loses routability and strictly
-//!    reduces search effort (open-list pushes) on at least one row.
 
 use detrand::DetRng;
 use harness::{bench_group, bench_main, BatchSize, Bench};
 use jroute::pathfinder::{self, NetSpec, PathFinderConfig};
-use jroute::tuner::TunerReport;
 use jroute_bench::SEED;
 use jroute_obs::Recorder;
 use jroute_svc::{RoutingService, ServiceConfig, Trace};
@@ -67,19 +60,16 @@ struct Run {
     iterations: usize,
     open_pushes: u64,
     nodes_expanded: usize,
-    report: jroute_obs::Report,
 }
 
 fn run(dev: &Device, specs: &[NetSpec], cfg: &PathFinderConfig) -> Run {
     let obs = Recorder::enabled();
     let r = pathfinder::route_all_obs(dev, specs, cfg, &obs).unwrap();
-    let report = obs.report();
     Run {
         legal: r.legal,
         iterations: r.iterations,
-        open_pushes: report.counter("maze.open_pushes").unwrap_or(0),
+        open_pushes: obs.report().counter("maze.open_pushes").unwrap_or(0),
         nodes_expanded: r.nodes_expanded,
-        report,
     }
 }
 
@@ -93,34 +83,20 @@ fn table() {
     );
 
     let base = PathFinderConfig::default();
-    let mut tuned_won = false;
     for (name, specs) in adversarial_rows(&dev) {
-        let cold = run(&dev, &specs, &base);
-        let tuner = TunerReport::from_report(&cold.report).expect("searches happened");
-        let tuned_cfg = tuner.tune(&base);
-        let tuned = run(&dev, &specs, &tuned_cfg);
-        for (tag, r) in [("static", &cold), ("tuned", &tuned)] {
-            eprintln!(
-                "{:<15}{:<7} | {:>5} {:>6} {:>6} {:>12} {:>12}",
-                name,
-                tag,
-                specs.len(),
-                r.legal,
-                r.iterations,
-                r.open_pushes,
-                r.nodes_expanded
-            );
-        }
-        assert!(cold.legal, "{name}: static default must converge");
-        assert!(tuned.legal, "{name}: tuning must not lose routability");
-        if tuned.open_pushes < cold.open_pushes {
-            tuned_won = true;
-        }
+        let r = run(&dev, &specs, &base);
+        eprintln!(
+            "{:<15}{:<7} | {:>5} {:>6} {:>6} {:>12} {:>12}",
+            name,
+            "static",
+            specs.len(),
+            r.legal,
+            r.iterations,
+            r.open_pushes,
+            r.nodes_expanded
+        );
+        assert!(r.legal, "{name}: static default must converge");
     }
-    assert!(
-        tuned_won,
-        "the tuned config must beat the static default on at least one adversarial row"
-    );
 
     // Replay fidelity: the churn trace lands a fresh service on the
     // soaked service's exact census.
@@ -146,20 +122,10 @@ fn bench(c: &mut Bench) {
     let dev = Device::new(Family::Xcv300);
     let base = PathFinderConfig::default();
     for (name, specs) in adversarial_rows(&dev) {
-        let tuned_cfg = TunerReport::from_report(&run(&dev, &specs, &base).report)
-            .expect("searches happened")
-            .tune(&base);
         g.bench_function(format!("static_{name}"), |b| {
             b.iter_batched(
                 || (),
                 |_| pathfinder::route_all(&dev, &specs, &base).unwrap(),
-                BatchSize::PerIteration,
-            )
-        });
-        g.bench_function(format!("tuned_{name}"), |b| {
-            b.iter_batched(
-                || (),
-                |_| pathfinder::route_all(&dev, &specs, &tuned_cfg).unwrap(),
                 BatchSize::PerIteration,
             )
         });

@@ -51,7 +51,6 @@ pub mod steiner;
 pub mod template;
 pub mod templates_db;
 pub mod trace;
-pub mod tuner;
 pub mod unroute;
 
 pub use endpoint::{EndPoint, Pin, PortId};
@@ -68,4 +67,3 @@ pub use stats::{ResourceUsage, RouterStats};
 pub use steiner::SteinerTree;
 pub use template::Template;
 pub use trace::TracedNet;
-pub use tuner::TunerReport;

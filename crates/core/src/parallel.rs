@@ -180,7 +180,7 @@ pub fn route_net(
         };
         let mut r = search(&bounded, scratch);
         if r.is_none() && maze.bbox.is_none() {
-            obs.count("parallel.bbox_fallbacks", 1);
+            obs.counter("parallel.bbox_fallbacks").inc();
             region = None;
             r = search(maze, scratch);
         }

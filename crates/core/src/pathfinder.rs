@@ -307,13 +307,9 @@ impl PreparedNet {
     }
 
     /// Widen the region by `by` tiles (no-op when pruning is off).
-    fn widen(&mut self, by: u16) -> u16 {
-        match &mut self.sbox {
-            Some(b) => {
-                b.widen(by);
-                b.growth()
-            }
-            None => 0,
+    fn widen(&mut self, by: u16) {
+        if let Some(b) = &mut self.sbox {
+            b.widen(by);
         }
     }
 }
@@ -406,7 +402,6 @@ pub fn route_all_obs(
     let c_bbox_fallbacks = obs.counter("pathfinder.bbox_fallbacks");
     let c_waves = obs.counter("pathfinder.waves");
     let c_partition_conflicts = obs.counter("pathfinder.partition_conflicts");
-    let h_bbox_growth = obs.histogram("pathfinder.bbox_growth");
     let h_iter_overuse = obs.histogram("pathfinder.iter_overuse");
     let h_wave_size = obs.histogram("pathfinder.wave_size");
     let h_crit = obs.histogram("pathfinder.crit");
@@ -616,8 +611,7 @@ pub fn route_all_obs(
                 // Node budget exhausted — leave unrouted this iteration;
                 // congestion relief may fix it next round.
                 any_failure = true;
-                let g = prepared[i].widen(HEX_SPAN);
-                h_bbox_growth.record(g as u64);
+                prepared[i].widen(HEX_SPAN);
                 continue;
             };
             for seg in &segments {
@@ -672,8 +666,7 @@ pub fn route_all_obs(
             next.dedup();
             // A net that keeps coming back earns a wider search region.
             for &i in &next {
-                let g = prepared[i].widen(1);
-                h_bbox_growth.record(g as u64);
+                prepared[i].widen(1);
             }
             dirty = next;
         }
@@ -689,7 +682,7 @@ pub fn route_all_obs(
     // `account` ran at the end of the final iteration, so the residual
     // overuse is exactly the surviving overused set.
     let overused = cong.overused.len();
-    obs.count("pathfinder.budget_exhausted", 1);
+    obs.counter("pathfinder.budget_exhausted").inc();
     let nets = routes.into_iter().flatten().collect();
     Ok(PathFinderResult {
         nets,

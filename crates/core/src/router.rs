@@ -38,7 +38,7 @@ use crate::templates_db;
 use crate::trace::{self, Hop, TracedNet};
 use crate::unroute;
 use jbits::{Bitstream, Pip};
-use jroute_obs::{Recorder, Report};
+use jroute_obs::{Counter, Recorder, Report};
 use std::sync::Arc;
 use template_match::{TemplateMatcher, TEMPLATE_BUDGET};
 use virtex::segment::Tap;
@@ -88,15 +88,18 @@ pub struct Remembered {
 /// Forwards raw-JBits configuration traffic into the recorder, so even
 /// writes made behind the router's back (via [`Router::bits_mut`]) show
 /// up in the telemetry.
-struct PipTap(Recorder);
+struct PipTap {
+    set: Counter,
+    cleared: Counter,
+}
 
 impl jbits::ConfigObserver for PipTap {
     fn pip_set(&self, _rc: RowCol, _pip: Pip) {
-        self.0.count("jbits.pips_set", 1);
+        self.set.inc();
     }
 
     fn pip_cleared(&self, _rc: RowCol, _pip: Pip) {
-        self.0.count("jbits.pips_cleared", 1);
+        self.cleared.inc();
     }
 }
 
@@ -150,13 +153,14 @@ impl Router {
     /// the bitstream's [`jbits::ConfigObserver`] hook; a disabled one
     /// detaches the tap so the hot path is back to a `None` branch.
     pub fn set_recorder(&mut self, rec: Recorder) {
+        let tap = rec.is_enabled().then(|| {
+            Arc::new(PipTap {
+                set: rec.counter("jbits.pips_set"),
+                cleared: rec.counter("jbits.pips_cleared"),
+            }) as Arc<dyn jbits::ConfigObserver>
+        });
+        self.bits.set_observer(tap);
         self.obs = rec;
-        if self.obs.is_enabled() {
-            self.bits
-                .set_observer(Some(Arc::new(PipTap(self.obs.clone()))));
-        } else {
-            self.bits.set_observer(None);
-        }
     }
 
     /// Snapshot the telemetry collected so far, with the cumulative

@@ -252,12 +252,18 @@ impl Value {
     }
 }
 
-/// Parse a JSON document. Returns `None` on any syntax error or trailing
-/// garbage.
+/// Deepest array/object nesting [`parse`] accepts; deeper documents
+/// are rejected instead of exhausting the stack.
+pub const MAX_DEPTH: usize = 256;
+
+/// Parse a JSON document. Returns `None` on any syntax error, trailing
+/// garbage, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Option<Value> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -270,8 +276,11 @@ pub fn parse(text: &str) -> Option<Value> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -306,14 +315,25 @@ impl Parser<'_> {
     fn value(&mut self) -> Option<Value> {
         self.skip_ws();
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => self.string().map(Value::Str),
             b't' => self.lit("true").map(|_| Value::Bool(true)),
             b'f' => self.lit("false").map(|_| Value::Bool(false)),
             b'n' => self.lit("null").map(|_| Value::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parse one object or array, refusing nesting past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Option<Value>) -> Option<Value> {
+        if self.depth == MAX_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Option<Value> {
@@ -386,9 +406,12 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                            let hex = self.text.get(self.pos + 1..self.pos + 5)?;
+                            // `from_str_radix` alone would accept a sign.
+                            if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                                return None;
+                            }
+                            let code = u32::from_str_radix(hex, 16).ok()?;
                             out.push(char::from_u32(code)?);
                             self.pos += 4;
                         }
@@ -397,12 +420,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash in one slice. Both are ASCII, which never
+                    // occurs inside a multi-byte UTF-8 sequence, so the
+                    // run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')?;
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -438,8 +464,8 @@ mod tests {
             let mut s = rec.span("router.route");
             s.note(2);
         }
-        rec.count("router.pips_set", 4);
-        rec.record("maze.search_ns", 12_345);
+        rec.counter("router.pips_set").add(4);
+        rec.histogram("maze.search_ns").record(12_345);
         rec.event("pathfinder.overused", 9);
         rec.report()
     }
@@ -525,6 +551,71 @@ mod tests {
         assert!(parse("{\"a\": }").is_none());
         assert!(parse("[1, 2,]").is_none());
         assert!(parse("nul").is_none());
+    }
+
+    #[test]
+    fn parser_reads_multi_megabyte_documents_in_linear_time() {
+        // A ~4.5 MB span chunk: a string scan that rescans the rest of
+        // the input per character would take minutes here.
+        let spans: Vec<crate::SpanRecord> = (0..40_000u64)
+            .map(|i| crate::SpanRecord {
+                name: "maze.search",
+                thread: i % 4,
+                depth: 2,
+                start_ns: i * 1_000,
+                dur_ns: 750,
+                note: i,
+                span_id: i + 1,
+                parent: i / 2,
+                trace: 1 + i / 100,
+            })
+            .collect();
+        let text = span_chunk_json(0, 1, &spans);
+        assert!(text.len() >= 4 << 20, "document is {} bytes", text.len());
+        let doc = parse(&text).expect("chunk parses");
+        let parsed = doc.get("spans").unwrap().as_arr().unwrap();
+        assert_eq!(parsed.len(), spans.len());
+        assert_eq!(
+            parsed[39_999].get("name").unwrap().as_str(),
+            Some("maze.search")
+        );
+    }
+
+    #[test]
+    fn parser_keeps_multi_byte_text_around_escapes() {
+        let doc = parse(r#"["µs → \"x\"\u00e9 ok", "日本"]"#).unwrap();
+        let items = doc.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("µs → \"x\"é ok"));
+        assert_eq!(items[1].as_str(), Some("日本"));
+        let round = escape("tab\t µs \"q\" \\");
+        assert_eq!(
+            parse(&format!("\"{round}\"")).unwrap().as_str(),
+            Some("tab\t µs \"q\" \\")
+        );
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_some());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_none());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_none());
+        // Deep enough to overflow the stack without the cap.
+        assert!(parse(&"[".repeat(1_000_000)).is_none());
+    }
+
+    #[test]
+    fn parser_rejects_signed_unicode_escapes() {
+        assert_eq!(parse(r#""\u0041""#), Some(Value::Str("A".into())));
+        assert!(parse(r#""\u+041""#).is_none());
+        assert!(parse(r#""\u-041""#).is_none());
+        assert!(parse(r#""\u00g1""#).is_none());
+        assert!(parse(r#""\u004"#).is_none());
     }
 
     #[test]

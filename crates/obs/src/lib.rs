@@ -27,8 +27,8 @@
 //! {
 //!     let mut outer = rec.span("request");
 //!     let _inner = rec.span("lookup");
-//!     rec.count("cache.miss", 1);
-//!     rec.record("payload.bytes", 512);
+//!     rec.counter("cache.miss").inc();
+//!     rec.histogram("payload.bytes").record(512);
 //!     outer.note(1); // arbitrary payload, e.g. items handled
 //! }
 //! let report = rec.report();
@@ -60,7 +60,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Instant, SystemTime};
 
 /// Raw-span retention cap: beyond this the tree view saturates (aggregate
 /// per-name statistics keep counting) and `spans_dropped` records how
@@ -109,8 +109,6 @@ pub struct EventRecord {
 
 #[derive(Default)]
 struct Collector {
-    counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
     span_stats: BTreeMap<&'static str, SpanStat>,
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
@@ -122,8 +120,11 @@ struct Collector {
     /// Raw span records already streamed out (they are no longer in
     /// `spans` but were observed and exported).
     spans_flushed: u64,
-    /// Chunks written so far (also the next chunk's sequence number).
+    /// Chunks written so far (also the next chunk's sequence number);
+    /// reported as `obs.span_chunks`.
     chunk_seq: u64,
+    /// Sink writes that failed; reported as `obs.span_sink_errors`.
+    sink_errors: u64,
 }
 
 impl Collector {
@@ -147,7 +148,6 @@ impl Collector {
             Ok(()) => {
                 self.chunk_seq += 1;
                 self.spans_flushed += self.spans.len() as u64;
-                *self.counters.entry("obs.span_chunks").or_insert(0) += 1;
                 self.spans.clear();
                 true
             }
@@ -156,7 +156,7 @@ impl Collector {
                 // guarantees nothing is appended after it, so everything
                 // up to the last complete line stays parseable.
                 self.sink = None;
-                *self.counters.entry("obs.span_sink_errors").or_insert(0) += 1;
+                self.sink_errors += 1;
                 false
             }
         }
@@ -389,44 +389,6 @@ impl Recorder {
         }
     }
 
-    /// Add `delta` to the counter `name`.
-    #[inline]
-    pub fn count(&self, name: &'static str, delta: u64) {
-        if let Some(shared) = &self.inner {
-            if delta != 0 {
-                *shared
-                    .state
-                    .lock()
-                    .unwrap()
-                    .counters
-                    .entry(name)
-                    .or_insert(0) += delta;
-            }
-        }
-    }
-
-    /// Record `value` into the histogram `name`.
-    #[inline]
-    pub fn record(&self, name: &'static str, value: u64) {
-        if let Some(shared) = &self.inner {
-            shared
-                .state
-                .lock()
-                .unwrap()
-                .hists
-                .entry(name)
-                .or_default()
-                .record(value);
-        }
-    }
-
-    /// Record a duration (as nanoseconds) into the histogram `name`. By
-    /// convention latency histogram names end in `_ns`.
-    #[inline]
-    pub fn record_duration(&self, name: &'static str, d: Duration) {
-        self.record(name, d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
     /// Record a point-in-time event with a value.
     #[inline]
     pub fn event(&self, name: &'static str, value: u64) {
@@ -449,22 +411,18 @@ impl Recorder {
             None => Report::default(),
             Some(shared) => {
                 let st = shared.state.lock().unwrap();
-                let mut counters: Vec<(String, u64)> = st
-                    .counters
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), *v))
-                    .collect();
-                let mut hists: Vec<HistRow> = st
-                    .hists
-                    .iter()
-                    .map(|(k, h)| HistRow {
-                        name: k.to_string(),
-                        hist: h.clone(),
-                    })
-                    .collect();
-                // Registry metrics share the report namespace with the
-                // string-keyed ones, whichever API recorded them.
-                shared.registry.fold_into(&mut counters, &mut hists);
+                let (mut counters, hists) = shared.registry.snapshot();
+                // The collector's own health counters.
+                for (name, v) in [
+                    ("obs.span_chunks", st.chunk_seq),
+                    ("obs.span_sink_errors", st.sink_errors),
+                    ("obs.spans_shed", st.spans_dropped),
+                ] {
+                    if v != 0 {
+                        counters.push((name.to_string(), v));
+                    }
+                }
+                counters.sort();
                 Report {
                     enabled: true,
                     epoch_unix_nanos: shared.epoch_unix_nanos,
@@ -621,7 +579,6 @@ impl Drop for Span {
             // Shed loudly: the counter surfaces in every report and the
             // JSON export flags the run as truncated.
             st.spans_dropped += 1;
-            *st.counters.entry("obs.spans_shed").or_insert(0) += 1;
         }
     }
 }
@@ -639,8 +596,8 @@ mod tests {
             assert!(!s.is_recording());
             s.note(7);
         }
-        rec.count("c", 3);
-        rec.record("h", 9);
+        rec.counter("c").add(3);
+        rec.histogram("h").record(9);
         rec.event("e", 1);
         let rep = rec.report();
         assert!(!rep.enabled);
@@ -650,10 +607,10 @@ mod tests {
     #[test]
     fn counters_histograms_events_accumulate() {
         let rec = Recorder::enabled();
-        rec.count("pips", 2);
-        rec.count("pips", 3);
-        rec.record("lat_ns", 100);
-        rec.record("lat_ns", 200);
+        rec.counter("pips").add(2);
+        rec.counter("pips").add(3);
+        rec.histogram("lat_ns").record(100);
+        rec.histogram("lat_ns").record(200);
         rec.event("iter", 42);
         let rep = rec.report();
         assert_eq!(rep.counter("pips"), Some(5));
@@ -778,7 +735,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut s = rec.span("worker");
                     s.note(w);
-                    rec.count("work", 1);
+                    rec.counter("work").inc();
                 });
             }
         });
@@ -974,9 +931,9 @@ mod tests {
     #[test]
     fn reset_clears_but_keeps_recording() {
         let rec = Recorder::enabled();
-        rec.count("a", 1);
+        rec.counter("a").inc();
         rec.reset();
-        rec.count("b", 2);
+        rec.counter("b").add(2);
         let rep = rec.report();
         assert_eq!(rep.counter("a"), None);
         assert_eq!(rep.counter("b"), Some(2));

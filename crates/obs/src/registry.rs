@@ -1,10 +1,10 @@
-//! Lock-free sharded metrics registry with typed handles.
+//! Lock-free sharded metrics registry with typed handles — the one way
+//! counters and histograms are recorded.
 //!
-//! The original `Recorder::count()/record()` API pays a mutex acquisition
-//! and a `BTreeMap` string lookup on every increment — fine for cold
-//! paths, measurable on the maze inner loop where a single search bumps
-//! four counters per expanded node. The registry replaces that with
-//! **pre-registered typed handles**:
+//! A mutex plus a string lookup per increment is measurable on the maze
+//! inner loop, where a single search bumps four counters per expanded
+//! node. The registry avoids both with **pre-registered typed
+//! handles**:
 //!
 //! * [`Counter`] — a monotone sum, sharded over [`SHARDS`] cache-line-
 //!   padded atomics indexed by the recording thread, folded on read;
@@ -19,10 +19,9 @@
 //! hold `None` and compile down to one branch, preserving the
 //! disabled-recorder cost model.
 //!
-//! Registry values fold into every [`Report`] under their registered
-//! names, so downstream consumers (the self-tuner, JSON export, the
-//! [`prometheus_text`] exposition) see one namespace regardless of which
-//! API recorded a metric.
+//! Registry values are snapshotted into every [`Report`] under their
+//! registered names, so downstream consumers (JSON export, the
+//! [`prometheus_text`] exposition) read one namespace.
 
 use crate::hist::{self, Histogram, BUCKETS};
 use crate::report::{HistRow, Report};
@@ -339,41 +338,36 @@ impl Registry {
         Histo::from_core(core)
     }
 
-    /// Fold live registry values into a report's counter and histogram
-    /// tables (merging with any string-keyed metric of the same name).
-    /// Zero counters and empty histograms are skipped so pre-registered
-    /// but untouched handles do not clutter reports.
-    pub(crate) fn fold_into(&self, counters: &mut Vec<(String, u64)>, hists: &mut Vec<HistRow>) {
-        let mut merge_counter = |name: &str, v: u64| {
-            if v == 0 {
-                return;
-            }
-            match counters.iter_mut().find(|(k, _)| k == name) {
-                Some((_, cur)) => *cur = cur.saturating_add(v),
-                None => counters.push((name.to_string(), v)),
-            }
-        };
-        for (name, core) in self.counters.lock().unwrap().iter() {
-            merge_counter(name, core.fold());
-        }
-        for (name, core) in self.gauges.lock().unwrap().iter() {
-            merge_counter(name, core.load(Ordering::Relaxed));
-        }
-        counters.sort();
-        for (name, core) in self.histos.lock().unwrap().iter() {
-            let h = core.fold();
-            if h.count() == 0 {
-                continue;
-            }
-            match hists.iter_mut().find(|r| r.name == *name) {
-                Some(row) => row.hist.merge(&h),
-                None => hists.push(HistRow {
-                    name: name.to_string(),
-                    hist: h,
-                }),
-            }
-        }
-        hists.sort_by(|a, b| a.name.cmp(&b.name));
+    /// Snapshot live values as a report's counter table (counters and
+    /// gauges) and histogram table, each sorted by name. Zero counters
+    /// and empty histograms are skipped so pre-registered but untouched
+    /// handles do not clutter reports.
+    pub(crate) fn snapshot(&self) -> (Vec<(String, u64)>, Vec<HistRow>) {
+        let counters = self.counters.lock().unwrap();
+        let gauges = self.gauges.lock().unwrap();
+        let mut values: Vec<(String, u64)> = counters
+            .iter()
+            .map(|(name, core)| (name.clone(), core.fold()))
+            .chain(
+                gauges
+                    .iter()
+                    .map(|(name, core)| (name.clone(), core.load(Ordering::Relaxed))),
+            )
+            .filter(|&(_, v)| v != 0)
+            .collect();
+        values.sort();
+        let hists = self
+            .histos
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(name, core)| HistRow {
+                name: name.clone(),
+                hist: core.fold(),
+            })
+            .filter(|row| row.hist.count() != 0)
+            .collect();
+        (values, hists)
     }
 
     /// Zero every registered value while keeping the registrations (and
@@ -573,22 +567,25 @@ mod tests {
     }
 
     #[test]
-    fn registry_values_surface_in_reports_and_merge_by_name() {
+    fn registry_values_surface_in_reports_sorted_by_name() {
         let rec = Recorder::enabled();
-        rec.count("shared.name", 10); // string-keyed path
-        rec.counter("shared.name").add(5); // registry path
+        rec.counter("zeta").add(10);
+        rec.counter("alpha").add(5);
+        rec.counter("untouched");
         rec.gauge("depth.now").set(3);
         rec.histogram("sizes").record(64);
-        rec.record("sizes", 64);
+        rec.histogram("sizes").record(64);
+        rec.histogram("empty");
         let rep = rec.report();
-        assert_eq!(rep.counter("shared.name"), Some(15));
+        assert_eq!(rep.counter("zeta"), Some(10));
+        assert_eq!(rep.counter("alpha"), Some(5));
+        assert_eq!(rep.counter("untouched"), None);
         assert_eq!(rep.counter("depth.now"), Some(3));
         assert_eq!(rep.hist("sizes").unwrap().count(), 2);
-        // Counter ordering survives the merge.
+        assert!(rep.hist("empty").is_none());
+        // Counters and gauges share one table, sorted by name.
         let names: Vec<&str> = rep.counters.iter().map(|(k, _)| k.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
+        assert_eq!(names, ["alpha", "depth.now", "zeta"]);
     }
 
     #[test]

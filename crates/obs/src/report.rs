@@ -226,8 +226,8 @@ mod tests {
             let mut b = rec.span("b");
             b.note(3);
         }
-        rec.count("n", 7);
-        rec.record("lat_ns", 1500);
+        rec.counter("n").add(7);
+        rec.histogram("lat_ns").record(1500);
         rec.event("e", 1);
         rec.report()
     }

@@ -132,9 +132,24 @@ struct SvcMeters {
     steals: Counter,
     researched: Counter,
     queue_depth: Gauge,
+    /// Queue depth after each submission.
+    queue_depths: Histo,
     batch_ns: Histo,
     request_ns: Histo,
+    /// One counter per terminal outcome, in [`OUTCOME_COUNTERS`] order.
+    outcomes: [Counter; 7],
 }
+
+/// Report names of the per-outcome counters.
+const OUTCOME_COUNTERS: [&str; 7] = [
+    "svc.routed",
+    "svc.unrouted",
+    "svc.replaced",
+    "svc.cancelled",
+    "svc.expired",
+    "svc.congested",
+    "svc.rejected",
+];
 
 impl SvcMeters {
     fn resolve(obs: &Recorder) -> Self {
@@ -145,9 +160,25 @@ impl SvcMeters {
             steals: obs.counter("svc.steals"),
             researched: obs.counter("svc.researched"),
             queue_depth: obs.gauge("svc.queue_depth_now"),
+            queue_depths: obs.histogram("svc.queue_depth"),
             batch_ns: obs.histogram("svc.batch_ns"),
             request_ns: obs.histogram("svc.request_ns"),
+            outcomes: OUTCOME_COUNTERS.map(|name| obs.counter(name)),
         }
+    }
+
+    /// The counter `outcome` tallies under.
+    fn outcome(&self, outcome: &RequestOutcome) -> &Counter {
+        let slot = match outcome {
+            RequestOutcome::Routed { .. } => 0,
+            RequestOutcome::Unrouted { .. } => 1,
+            RequestOutcome::Replaced { .. } => 2,
+            RequestOutcome::Cancelled => 3,
+            RequestOutcome::Expired => 4,
+            RequestOutcome::Congested { .. } => 5,
+            RequestOutcome::Rejected(_) => 6,
+        };
+        &self.outcomes[slot]
     }
 }
 
@@ -240,8 +271,7 @@ impl<'d> RoutingService<'d> {
             );
             // Timing-driven telemetry: the per-iteration criticality
             // distribution and the best-of-two Steiner builder's
-            // win/branch/reuse counters — what the tuner's fan-out and
-            // exponent ratchets read.
+            // win/branch/reuse counters.
             w.track_gauge("pathfinder.crit_max", obs.gauge("pathfinder.crit_max"));
             w.track_gauge("pathfinder.crit_p99", obs.gauge("pathfinder.crit_p99"));
             w.track_histogram("pathfinder.crit", obs.histogram("pathfinder.crit"));
@@ -276,14 +306,6 @@ impl<'d> RoutingService<'d> {
         self.dev
     }
 
-    /// Replace the maze options future batches route with — the hook
-    /// the telemetry tuner ([`jroute::tuner`]) applies its derived
-    /// config through between scenario steps. Queued requests are
-    /// unaffected until the next `run_batch`.
-    pub fn set_maze(&mut self, maze: MazeConfig) {
-        self.cfg.maze = maze;
-    }
-
     /// Resize the worker set future batches search on — how the
     /// multi-tenant server applies its per-batch [`ThreadBudget`]
     /// lease. Never changes results.
@@ -304,8 +326,8 @@ impl<'d> RoutingService<'d> {
     ///
     /// This is how `Replace`-heavy scenarios cross-check their live
     /// demand (see the churn workload): the negotiation shares the
-    /// service recorder, so its wave/search telemetry lands in the same
-    /// rolling window the tuner reads.
+    /// service recorder, so its wave/search telemetry lands in the
+    /// service's rolling window.
     pub fn negotiate(
         &self,
         specs: &[NetSpec],
@@ -389,8 +411,7 @@ impl<'d> RoutingService<'d> {
             ctx: root.ctx(),
         });
         self.next_seq += 1;
-        self.obs
-            .record("svc.queue_depth", self.pending.len() as u64);
+        self.meters.queue_depths.record(self.pending.len() as u64);
         self.meters.queue_depth.set(self.pending.len() as u64);
         Ok(id)
     }
@@ -525,16 +546,7 @@ impl<'d> RoutingService<'d> {
         self.meters.steals.add(stats.steals);
         self.meters.researched.add(stats.researched);
         for (_, o) in &outcomes {
-            let name = match o {
-                RequestOutcome::Routed { .. } => "svc.routed",
-                RequestOutcome::Unrouted { .. } => "svc.unrouted",
-                RequestOutcome::Replaced { .. } => "svc.replaced",
-                RequestOutcome::Cancelled => "svc.cancelled",
-                RequestOutcome::Expired => "svc.expired",
-                RequestOutcome::Congested { .. } => "svc.congested",
-                RequestOutcome::Rejected(_) => "svc.rejected",
-            };
-            self.obs.count(name, 1);
+            self.meters.outcome(o).inc();
         }
         let now = self.obs.elapsed_ns();
         self.meters

@@ -26,14 +26,9 @@
 //! into a *fresh* deterministic service and the two censuses compared —
 //! the strongest end-to-end check the scenario corpus has (and the
 //! `e16_scenarios` fixture source).
-//!
-//! The telemetry loop closes here too: [`ChurnScenario::retune`] folds
-//! the recorder's window through [`jroute::tuner::TunerReport`] and
-//! applies the derived maze budget to the service for subsequent steps.
 
 use detrand::DetRng;
 use jroute::pathfinder::{NetSpec, PathFinderConfig, PathFinderResult};
-use jroute::tuner::TunerReport;
 use jroute::Pin;
 use jroute_cores::floorplan::{Floorplan, Region, RegionId};
 use jroute_obs::Recorder;
@@ -199,8 +194,7 @@ impl<'d> ChurnScenario<'d> {
         Self::with_recorder(dev, cfg, params, seed, Recorder::disabled())
     }
 
-    /// [`ChurnScenario::new`] with a live recorder — required for
-    /// [`ChurnScenario::retune`] to have telemetry to read.
+    /// [`ChurnScenario::new`] with a live recorder.
     pub fn with_recorder(
         dev: &'d Device,
         mut cfg: ServiceConfig,
@@ -260,21 +254,9 @@ impl<'d> ChurnScenario<'d> {
     /// from-scratch legality cross-check of the scenario's current
     /// demand) through the service — which applies its thread count and
     /// deterministic policy, and whose recorder catches the wave/search
-    /// telemetry in the same window the tuner reads.
+    /// telemetry.
     pub fn negotiate(&self, cfg: &PathFinderConfig) -> jroute::Result<PathFinderResult> {
         self.svc.negotiate(&self.live_specs(), cfg)
-    }
-
-    /// Fold the recorder's current window through the tuner and apply
-    /// the derived maze options to the service for subsequent steps.
-    /// Returns the tuned PathFinder config (for callers that also
-    /// negotiate), or `None` when the window holds no search telemetry.
-    pub fn retune(&mut self, base: &PathFinderConfig) -> Option<PathFinderConfig> {
-        let report = self.svc.recorder().report();
-        let tuner = TunerReport::from_report(&report)?;
-        let tuned = tuner.tune(base);
-        self.svc.set_maze(tuned.maze.clone());
-        Some(tuned)
     }
 
     /// Execute one churn action, run the batch, audit. `Ok` carries what
@@ -646,28 +628,5 @@ mod tests {
             .expect("pins resolve");
         assert!(res.legal, "live demand must be routable from scratch");
         assert_eq!(res.nets.len(), sc.live_nets());
-    }
-
-    #[test]
-    fn retune_applies_telemetry_derived_budgets() {
-        let dev = Device::new(Family::Xcv50);
-        let mut sc = ChurnScenario::with_recorder(
-            &dev,
-            cfg(1),
-            ChurnParams::default(),
-            3,
-            Recorder::enabled(),
-        );
-        let base = PathFinderConfig::default();
-        assert!(
-            sc.retune(&base).is_none(),
-            "no searches yet — nothing to tune from"
-        );
-        for _ in 0..10 {
-            sc.step().unwrap();
-        }
-        sc.negotiate(&base).unwrap();
-        let tuned = sc.retune(&base).expect("telemetry present");
-        assert!(tuned.maze.max_nodes <= base.maze.max_nodes);
     }
 }

@@ -4,10 +4,8 @@
 //! stream as a `.jrt` trace, then
 //!
 //! * replay the trace into a fresh service and diff the segment census
-//!   (record/replay fidelity),
-//! * re-negotiate the live demand with the incremental PathFinder, and
-//! * fold the accumulated telemetry through the self-tuner and show the
-//!   maze budgets it derives.
+//!   (record/replay fidelity), and
+//! * re-negotiate the live demand with the incremental PathFinder.
 //!
 //! Span telemetry streams through a size-capped rotating file sink under
 //! `target/obs-json/churn_soak/`.
@@ -16,7 +14,6 @@
 
 use jroute::obs::RotatingFileSink;
 use jroute::pathfinder::PathFinderConfig;
-use jroute::tuner::TunerReport;
 use jroute::Recorder;
 use jroute_svc::{RoutingService, ServiceConfig};
 use jroute_workloads::{ChurnAction, ChurnParams, ChurnScenario};
@@ -87,27 +84,16 @@ fn main() {
         trace_path.display()
     );
 
-    // ── Negotiate the live demand and let the tuner read the meters ───
-    let base = PathFinderConfig::default();
-    let res = sc.negotiate(&base).expect("live pins resolve");
+    // ── Negotiate the live demand from scratch ────────────────────────
+    let res = sc
+        .negotiate(&PathFinderConfig::default())
+        .expect("live pins resolve");
     assert!(res.legal, "live demand must be routable from scratch");
     println!(
         "negotiation: {} nets legal in {} iterations, {} nodes expanded",
         res.nets.len(),
         res.iterations,
         res.nodes_expanded
-    );
-    let report = sc.svc().recorder().report();
-    let tuner = TunerReport::from_report(&report).expect("telemetry present");
-    let tuned = sc.retune(&base).expect("telemetry present");
-    println!(
-        "self-tuning: {} searches, p99 {} nodes -> max_nodes {} (was {}), bbox margin {:?} (was {:?})",
-        tuner.searches,
-        tuner.expanded_p99,
-        tuned.maze.max_nodes,
-        base.maze.max_nodes,
-        tuned.bbox_margin,
-        base.bbox_margin
     );
 
     // ── What hit the rotating sink ────────────────────────────────────

@@ -44,12 +44,11 @@ test -s target/bench-json/BENCH_e18_partition.json
 grep -q '"id": "e18/negotiate_super4_' target/bench-json/BENCH_e18_partition.json
 echo "    wrote target/bench-json/BENCH_e18_partition.json"
 
-echo "==> bench smoke: e16_scenarios (trace replay + tuned-vs-static adversarial)"
+echo "==> bench smoke: e16_scenarios (trace replay + static adversarial rows)"
 BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
     cargo bench --offline --bench e16_scenarios
 test -s target/bench-json/BENCH_e16_scenarios.json
 grep -q '"id": "e16/static_' target/bench-json/BENCH_e16_scenarios.json
-grep -q '"id": "e16/tuned_' target/bench-json/BENCH_e16_scenarios.json
 grep -q '"id": "e16/replay_churn_' target/bench-json/BENCH_e16_scenarios.json
 echo "    wrote target/bench-json/BENCH_e16_scenarios.json"
 

@@ -76,6 +76,38 @@ fn trace_reads_nets_configured_by_raw_bitstream_writes() {
         device.canonicalize(RowCol::new(5, 7), wire::S1_YQ).unwrap()
     );
     assert_eq!(span_note(&r, "router.reverse_trace"), Some(4));
+
+    // Clearing a PIP behind the router's back is tapped too.
+    assert!(r
+        .bits_mut()
+        .clear_pip(
+            RowCol::new(6, 8),
+            wire::single_end(Dir::North, 0),
+            wire::S0_F3
+        )
+        .unwrap());
+    let first = r.recorder().clone();
+    assert_eq!(first.report().counter("jbits.pips_cleared"), Some(1));
+
+    // Swapping recorders re-points the tap: later writes count only on
+    // the new recorder, and the old one keeps what it saw.
+    r.set_recorder(Recorder::enabled());
+    r.bits_mut()
+        .set_pip(
+            RowCol::new(6, 8),
+            wire::single_end(Dir::North, 0),
+            wire::S0_F3,
+        )
+        .unwrap();
+    r.bits_mut()
+        .clear_pip(RowCol::new(5, 7), wire::S1_YQ, wire::out(1))
+        .unwrap();
+    let fresh = r.recorder().report();
+    assert_eq!(fresh.counter("jbits.pips_set"), Some(1));
+    assert_eq!(fresh.counter("jbits.pips_cleared"), Some(1));
+    let old = first.report();
+    assert_eq!(old.counter("jbits.pips_set"), Some(4));
+    assert_eq!(old.counter("jbits.pips_cleared"), Some(1));
 }
 
 #[test]
