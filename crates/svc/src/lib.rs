@@ -196,7 +196,7 @@ fn expired(deadline: Option<Deadline>, step: usize, started: Instant) -> bool {
 }
 
 /// The committed requests `kind` tears down.
-fn targets(kind: &RequestKind) -> &[RequestId] {
+pub(crate) fn targets(kind: &RequestKind) -> &[RequestId] {
     match kind {
         RequestKind::Route(_) => &[],
         RequestKind::Unroute(t) => std::slice::from_ref(t),

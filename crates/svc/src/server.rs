@@ -6,15 +6,13 @@
 //! designs run (paper §1, §3; the JIT-overlay line in PAPERS.md). This
 //! module grows the synchronous `run_batch` front-end into that shape:
 //!
-//! * **channel-fed driver loop** — producer handles
-//!   ([`TenantHandle::submit`]) send admissions into one MPSC channel; a
-//!   driver thread forms per-tenant batches by size watermark
-//!   ([`ServerConfig::batch_max`]) and age watermark
-//!   ([`ServerConfig::batch_wait`], counted in *logical steps* = global
-//!   admissions processed), and dispatches them to per-tenant executor
-//!   threads — so a long maze search on one tenant never stalls another
-//!   tenant's queued unroutes, and batch `k+1` forms while batch `k`
-//!   routes (pipelining);
+//! * **executors pull their batches** — every tenant has one executor
+//!   thread fed by its own MPSC channel; producer handles
+//!   ([`TenantHandle::submit`]) send admissions straight to it. An idle
+//!   executor blocks for one message, then takes the rest of its batch
+//!   as [`ExecMode`] says, at most [`ServerConfig::batch_max`] requests.
+//!   Admissions queue in the channel while a batch routes, and a long
+//!   maze search on one tenant never stalls another tenant's queue;
 //! * **tenancy** — each tenant owns a `Bitstream`-backed device and a
 //!   [`NetDb`](jroute::NetDb) shard behind its own [`RoutingService`];
 //!   executors share the machine through a
@@ -25,16 +23,16 @@
 //!   requests reach terminal outcomes;
 //! * **observability** — per-tenant labelled families
 //!   (`svc.server.*{tenant="t"}`, see [`jroute_obs::labeled`]) flow
-//!   through the sharded registry into an [`Aggregator`] window and the
-//!   Prometheus exposition;
+//!   through the sharded registry into an [`Aggregator`] window, ticked
+//!   whenever an executor takes a batch, and the Prometheus exposition;
 //! * **determinism** — every tenant batch is a serialization in
 //!   `(priority, admission)` order whatever width its executor leased,
 //!   so results depend only on where batches are cut. In
-//!   [`ExecMode::Deterministic`] the driver blocks on the channel (no
-//!   wall-clock flushes), so batch boundaries are a pure function of the
-//!   admission sequence and a fixed submission trace is bit-replayable
-//!   across any [`ServerConfig::threads`] and
-//!   [`ServerConfig::tenant_threads`].
+//!   [`ExecMode::Deterministic`] an executor cuts only at `batch_max` or
+//!   a [`TenantHandle::flush`], so batch boundaries are a pure function
+//!   of that tenant's own admission and flush sequence and a fixed
+//!   submission trace is bit-replayable across any
+//!   [`ServerConfig::threads`] and [`ServerConfig::tenant_threads`].
 //!
 //! Faults are contained per batch: a panic while a tenant's batch
 //! executes (exercised via [`FaultPlan`]) marks that tenant *poisoned* —
@@ -42,9 +40,11 @@
 //! admissions for that tenant answer `Poisoned` immediately, and every
 //! other tenant keeps serving.
 
-use crate::request::{Deadline, QueueFull, RequestId, RequestKind, RequestOutcome, TenantId};
+use crate::request::{
+    Deadline, QueueFull, Reject, RequestId, RequestKind, RequestOutcome, TenantId,
+};
 use crate::trace::{Trace, TraceError, TraceOp};
-use crate::{CancelToken, RoutingService, ServiceConfig};
+use crate::{targets, CancelToken, RoutingService, ServiceConfig};
 use jroute::maze::MazeConfig;
 use jroute::schedule::ThreadBudget;
 use jroute::NetId;
@@ -52,13 +52,12 @@ use jroute_obs::{labeled, Aggregator, Counter, Gauge, Histo, Recorder};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 use virtex::{Device, Segment};
 
-/// Fault-injection plan for driver-loop tests: panic the executing
-/// worker when the named admission reaches execution, mid-batch.
+/// Fault-injection plan for server tests: panic the executing worker
+/// when the named admission reaches execution, mid-batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultPlan {
     /// Panic while the batch containing admission `(tenant, seq)` is
@@ -68,16 +67,17 @@ pub struct FaultPlan {
     pub panic_on: Option<(TenantId, u64)>,
 }
 
-/// How the server driver cuts batches. Results never depend on the
+/// How a tenant's executor cuts its batches. Results never depend on the
 /// worker count, only on where batches are cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Watermark cuts plus a flush whenever the admission channel has
-    /// been idle for 1 ms, so a quiet server drains promptly. Batch
-    /// boundaries then depend on arrival timing.
+    /// An idle executor takes whatever its tenant has queued, up to
+    /// [`ServerConfig::batch_max`]: load sets the batch size, with no
+    /// timer, and batch boundaries depend on arrival timing.
     Threaded,
-    /// Watermark cuts and explicit [`TenantHandle::flush`] only: batch
-    /// boundaries are a pure function of the admission sequence.
+    /// An executor cuts only at [`ServerConfig::batch_max`] requests or
+    /// at [`TenantHandle::flush`]: batch boundaries are a pure function
+    /// of the tenant's own admission and flush sequence.
     Deterministic,
 }
 
@@ -95,20 +95,13 @@ pub struct ServerConfig {
     /// Per-tenant admission-gate capacity; [`TenantHandle::submit`]
     /// fails with [`QueueFull`] beyond it.
     pub queue_capacity: usize,
-    /// How the driver cuts batches.
+    /// How executors cut batches.
     pub mode: ExecMode,
     /// Post-batch bookkeeping audits on every tenant service.
     pub audit: bool,
-    /// Size watermark: an admission that fills a tenant's forming batch
-    /// to this many requests cuts it immediately.
+    /// Most requests an executor takes as one batch; a deterministic
+    /// executor cuts as soon as its batch reaches this size.
     pub batch_max: usize,
-    /// Age watermark in logical steps (global admissions processed): a
-    /// forming batch whose oldest request has waited this many steps is
-    /// cut at the next step. Threaded mode additionally flushes pending
-    /// batches on channel-idle timeouts, so a quiet server still makes
-    /// progress; deterministic mode cuts on logical steps and explicit
-    /// [`TenantHandle::flush`] only.
-    pub batch_wait: u64,
     /// Fault injection (tests only; default = no faults).
     pub fault: FaultPlan,
 }
@@ -125,7 +118,6 @@ impl Default for ServerConfig {
             mode: ExecMode::Threaded,
             audit: cfg!(debug_assertions),
             batch_max: 32,
-            batch_wait: 8,
             fault: FaultPlan::default(),
         }
     }
@@ -142,66 +134,6 @@ pub fn tenant_service_config(cfg: &ServerConfig) -> ServiceConfig {
         // must hold at least one full batch.
         queue_capacity: cfg.queue_capacity.max(cfg.batch_max).max(1),
         audit: cfg.audit,
-    }
-}
-
-// ----------------------------------------------------------------------
-// Batch former
-// ----------------------------------------------------------------------
-
-/// Pure per-tenant batch former: accumulates items and cuts batches on
-/// the size watermark, the age watermark (in the caller's logical
-/// clock), or an explicit flush. No wall clock anywhere — the driver
-/// owns time, which is what keeps batch boundaries replayable.
-#[derive(Debug)]
-pub struct BatchFormer<T> {
-    max: usize,
-    wait: u64,
-    pending: Vec<(u64, T)>,
-}
-
-impl<T> BatchFormer<T> {
-    /// A former cutting at `max` items or `wait` logical steps of age.
-    pub fn new(max: usize, wait: u64) -> Self {
-        BatchFormer {
-            max: max.max(1),
-            wait,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Accept one item admitted at logical step `now`; returns the cut
-    /// batch when this item fills it to the size watermark.
-    pub fn push(&mut self, now: u64, item: T) -> Option<Vec<T>> {
-        self.pending.push((now, item));
-        (self.pending.len() >= self.max).then(|| self.take())
-    }
-
-    /// Whether the oldest pending item has aged to the watermark at
-    /// logical step `now`.
-    pub fn due(&self, now: u64) -> bool {
-        self.pending
-            .first()
-            .is_some_and(|&(at, _)| now.saturating_sub(at) >= self.wait)
-    }
-
-    /// Cut whatever is pending (empty → `None`).
-    pub fn flush(&mut self) -> Option<Vec<T>> {
-        (!self.pending.is_empty()).then(|| self.take())
-    }
-
-    /// Items currently pending.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    fn take(&mut self) -> Vec<T> {
-        self.pending.drain(..).map(|(_, item)| item).collect()
     }
 }
 
@@ -277,7 +209,7 @@ impl Ticket {
     }
 
     /// Block until the outcome is terminal. In deterministic mode make
-    /// sure the request's batch can cut (watermark or
+    /// sure the request's batch can cut (`batch_max` or
     /// [`TenantHandle::flush`]) before waiting.
     pub fn wait(&self) -> ServerOutcome {
         let mut slot = self.state.slot.lock().unwrap();
@@ -336,7 +268,6 @@ impl TenantGate {
 }
 
 struct Submission {
-    tenant: TenantId,
     seq: u64,
     kind: RequestKind,
     priority: u8,
@@ -347,13 +278,13 @@ struct Submission {
 }
 
 enum Msg {
-    Submit(Box<Submission>),
-    Flush(TenantId),
+    Submit(Submission),
+    Flush,
 }
 
-/// Cloneable producer handle for one tenant. Every clone feeds the same
-/// driver loop; dropping the last handle (and the [`ServerClient`])
-/// flushes pending batches and shuts the server down.
+/// Cloneable producer handle for one tenant. Every clone feeds the
+/// tenant's executor; dropping the last handle (and the
+/// [`ServerClient`]) lets the executor run what is pending and stop.
 #[derive(Clone)]
 pub struct TenantHandle {
     tenant: TenantId,
@@ -383,7 +314,6 @@ impl TenantHandle {
         let cancel = Arc::new(AtomicBool::new(false));
         let state = Arc::new(TicketState::default());
         let sub = Submission {
-            tenant: self.tenant,
             seq,
             kind,
             priority,
@@ -393,8 +323,8 @@ impl TenantHandle {
             submitted_ns: self.obs.elapsed_ns(),
         };
         self.tx
-            .send(Msg::Submit(Box::new(sub)))
-            .expect("server driver alive while handles exist");
+            .send(Msg::Submit(sub))
+            .expect("tenant executor alive while handles exist");
         Ok(Ticket {
             id: seq,
             tenant: self.tenant,
@@ -403,39 +333,33 @@ impl TenantHandle {
         })
     }
 
-    /// Cut this tenant's forming batch now, regardless of watermarks.
+    /// Cut this tenant's forming batch at this point of its admission
+    /// sequence, whatever its size.
     pub fn flush(&self) {
         self.tx
-            .send(Msg::Flush(self.tenant))
-            .expect("server driver alive while handles exist");
+            .send(Msg::Flush)
+            .expect("tenant executor alive while handles exist");
     }
 }
 
 /// Client-side root handle: mints per-tenant producer handles. Held by
 /// the `serve` closure; when the closure returns (dropping this and all
-/// [`TenantHandle`] clones), the server flushes and shuts down.
+/// [`TenantHandle`] clones), the executors run what is pending and the
+/// server shuts down.
 pub struct ServerClient {
-    tx: Sender<Msg>,
-    gates: Vec<Arc<TenantGate>>,
-    obs: Recorder,
+    handles: Vec<TenantHandle>,
 }
 
 impl ServerClient {
     /// Number of tenants behind the server.
     pub fn tenants(&self) -> usize {
-        self.gates.len()
+        self.handles.len()
     }
 
     /// Producer handle for tenant `tenant`. Panics on an out-of-range
     /// tenant.
     pub fn tenant(&self, tenant: TenantId) -> TenantHandle {
-        let gate = Arc::clone(&self.gates[usize::from(tenant)]);
-        TenantHandle {
-            tenant,
-            tx: self.tx.clone(),
-            gate,
-            obs: self.obs.clone(),
-        }
+        self.handles[usize::from(tenant)].clone()
     }
 }
 
@@ -495,7 +419,7 @@ pub struct ServerReport {
     /// Per-tenant reports, indexed by tenant id.
     pub tenants: Vec<TenantReport>,
     /// Rolling window over the per-tenant labelled families, ticked once
-    /// per dispatched batch.
+    /// per batch an executor takes.
     pub window: Option<Aggregator>,
 }
 
@@ -505,6 +429,15 @@ pub struct ServerReport {
 
 /// How many per-batch samples the server's rolling window retains.
 const WINDOW_SAMPLES: usize = 256;
+
+/// What every tenant executor shares: the configuration, the recorder,
+/// the routing pool and the telemetry window.
+struct Shared {
+    cfg: ServerConfig,
+    obs: Recorder,
+    budget: Arc<ThreadBudget>,
+    window: Option<Mutex<Aggregator>>,
+}
 
 /// Executor-side per-tenant meters (labelled families).
 struct ExecMeters {
@@ -516,13 +449,12 @@ struct ExecMeters {
 /// Run a multi-tenant routing server over `devices` (one tenant per
 /// device, tenant `t` = `devices[t]`) and hand the client closure its
 /// [`ServerClient`]. The server runs for exactly the closure's lifetime:
-/// when it returns, pending batches flush, outstanding requests
-/// complete, and the per-tenant reports come back with the closure's
-/// result.
+/// when it returns, pending requests run, outstanding tickets resolve,
+/// and the per-tenant reports come back with the closure's result.
 ///
-/// The closure runs on the calling thread; driver and tenant executors
-/// run on scoped threads behind it. Producer handles are `Clone + Send`,
-/// so the closure may fan submissions out across its own threads.
+/// The closure runs on the calling thread; tenant executors run on
+/// scoped threads behind it. Producer handles are `Clone + Send`, so the
+/// closure may fan submissions out across its own threads.
 ///
 /// # Panics
 ///
@@ -535,19 +467,6 @@ pub fn serve<R>(
 ) -> (R, ServerReport) {
     assert!(!devices.is_empty(), "server needs at least one tenant");
     assert!(devices.len() <= usize::from(u16::MAX), "too many tenants");
-    let budget = Arc::new(ThreadBudget::new(cfg.threads));
-    let gates: Vec<Arc<TenantGate>> = (0..devices.len())
-        .map(|t| {
-            Arc::new(TenantGate {
-                capacity: cfg.queue_capacity.max(1),
-                depth: AtomicUsize::new(0),
-                next_seq: AtomicU64::new(0),
-                depth_gauge: obs.gauge(&labeled("svc.server.queue_depth", "tenant", t)),
-                submitted: obs.counter(&labeled("svc.server.submitted", "tenant", t)),
-                queue_full: obs.counter(&labeled("svc.server.queue_full", "tenant", t)),
-            })
-        })
-        .collect();
     let window = obs.is_enabled().then(|| {
         let mut w = Aggregator::new(WINDOW_SAMPLES);
         for t in 0..devices.len() {
@@ -569,144 +488,100 @@ pub fn serve<R>(
                 obs.histogram(&labeled("svc.server.request_ns", "tenant", t)),
             );
         }
-        w
+        Mutex::new(w)
     });
+    let shared = Shared {
+        budget: Arc::new(ThreadBudget::new(cfg.threads)),
+        cfg,
+        obs,
+        window,
+    };
 
-    std::thread::scope(|scope| {
-        let mut exec_txs: Vec<Sender<Vec<Submission>>> = Vec::with_capacity(devices.len());
-        let mut exec_joins = Vec::with_capacity(devices.len());
+    let (result, tenants) = std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(devices.len());
+        let mut executors = Vec::with_capacity(devices.len());
         for (t, &dev) in devices.iter().enumerate() {
-            let (tx, rx) = channel::<Vec<Submission>>();
-            exec_txs.push(tx);
+            let (tx, rx) = channel();
+            let obs = &shared.obs;
+            let gate = Arc::new(TenantGate {
+                capacity: shared.cfg.queue_capacity.max(1),
+                depth: AtomicUsize::new(0),
+                next_seq: AtomicU64::new(0),
+                depth_gauge: obs.gauge(&labeled("svc.server.queue_depth", "tenant", t)),
+                submitted: obs.counter(&labeled("svc.server.submitted", "tenant", t)),
+                queue_full: obs.counter(&labeled("svc.server.queue_full", "tenant", t)),
+            });
             let tenant = t as TenantId;
-            let (cfg, obs, gate, budget) = (
-                cfg.clone(),
-                obs.clone(),
-                Arc::clone(&gates[t]),
-                Arc::clone(&budget),
-            );
-            exec_joins
-                .push(scope.spawn(move || executor_loop(tenant, dev, rx, cfg, obs, gate, budget)));
+            handles.push(TenantHandle {
+                tenant,
+                tx,
+                gate: Arc::clone(&gate),
+                obs: obs.clone(),
+            });
+            let shared = &shared;
+            executors.push(scope.spawn(move || executor_loop(tenant, dev, rx, &gate, shared)));
         }
-        let (tx, rx) = channel::<Msg>();
-        let driver = {
-            let (cfg, obs) = (cfg.clone(), obs.clone());
-            scope.spawn(move || driver_loop(rx, exec_txs, cfg, obs, window))
-        };
-        let handle = ServerClient {
-            tx,
-            gates,
-            obs: obs.clone(),
-        };
+        let handle = ServerClient { handles };
         let result = client(&handle);
+        // Dropping the last sender lets each executor run what is
+        // pending and return its report.
         drop(handle);
-        let mut window = driver.join().expect("server driver never panics");
-        let tenants: Vec<TenantReport> = exec_joins
+        let tenants: Vec<TenantReport> = executors
             .into_iter()
             .map(|j| j.join().expect("tenant executor loop never panics"))
             .collect();
-        // Final sample after every executor has drained, so the last
-        // window entry reflects the complete run (the driver's ticks
-        // race against executor completions by design).
-        if let Some(w) = window.as_mut() {
-            w.tick(obs.elapsed_ns());
-        }
-        (result, ServerReport { tenants, window })
-    })
+        (result, tenants)
+    });
+    // Final sample after every executor has drained, so the last window
+    // entry reflects the complete run.
+    let window = shared.window.map(|w| {
+        let mut w = w
+            .into_inner()
+            .expect("no executor panics while ticking the window");
+        w.tick(shared.obs.elapsed_ns());
+        w
+    });
+    (result, ServerReport { tenants, window })
 }
 
-/// The driver loop: owns the logical clock (admissions processed), the
-/// per-tenant batch formers and the telemetry window. Deterministic mode
-/// blocks on the channel — batch boundaries depend only on the admission
-/// sequence; threaded mode adds an idle-timeout flush so a quiet server
-/// drains without waiting for watermarks.
-fn driver_loop(
-    rx: Receiver<Msg>,
-    exec_txs: Vec<Sender<Vec<Submission>>>,
-    cfg: ServerConfig,
-    obs: Recorder,
-    mut window: Option<Aggregator>,
-) -> Option<Aggregator> {
-    let deterministic = cfg.mode == ExecMode::Deterministic;
-    let mut formers: Vec<BatchFormer<Submission>> = (0..exec_txs.len())
-        .map(|_| BatchFormer::new(cfg.batch_max, cfg.batch_wait))
-        .collect();
-    let mut step: u64 = 0;
-    let dispatch = |t: usize, batch: Vec<Submission>, window: &mut Option<Aggregator>| {
-        // A dead executor is impossible (its loop catches panics), but
-        // be safe: an unsent batch would strand tickets forever.
-        exec_txs[t].send(batch).expect("tenant executor alive");
-        if let Some(w) = window.as_mut() {
-            w.tick(obs.elapsed_ns());
-        }
-    };
-    loop {
-        let msg = if deterministic {
-            rx.recv().ok()
-        } else {
-            match rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(msg) => Some(msg),
-                Err(RecvTimeoutError::Timeout) => {
-                    // Idle wall-clock flush: logical time is frozen while
-                    // no admissions arrive, so age watermarks alone would
-                    // strand a partial batch.
-                    for (t, former) in formers.iter_mut().enumerate() {
-                        if let Some(batch) = former.flush() {
-                            dispatch(t, batch, &mut window);
-                        }
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => None,
-            }
+/// Block for a tenant's next batch, cut as `mode` says: `Threaded` takes
+/// the first message plus whatever is already queued, `Deterministic`
+/// reads on until a flush; both stop at `max` requests. `None` once
+/// every producer handle is gone and nothing is pending.
+fn next_batch(rx: &Receiver<Msg>, max: usize, mode: ExecMode) -> Option<Vec<Submission>> {
+    let mut batch = Vec::new();
+    while batch.len() < max.max(1) {
+        let msg = match mode {
+            ExecMode::Threaded if !batch.is_empty() => rx.try_recv().ok(),
+            _ => rx.recv().ok(),
         };
         match msg {
-            Some(Msg::Submit(sub)) => {
-                step += 1;
-                let t = usize::from(sub.tenant);
-                if let Some(batch) = formers[t].push(step, *sub) {
-                    dispatch(t, batch, &mut window);
-                }
-                for (u, former) in formers.iter_mut().enumerate() {
-                    if former.due(step) {
-                        if let Some(batch) = former.flush() {
-                            dispatch(u, batch, &mut window);
-                        }
-                    }
-                }
-            }
-            Some(Msg::Flush(tenant)) => {
-                if let Some(batch) = formers[usize::from(tenant)].flush() {
-                    dispatch(usize::from(tenant), batch, &mut window);
-                }
-            }
-            None => {
-                // Every producer handle dropped: flush what formed and
-                // shut down (dropping exec_txs ends the executors).
-                for (t, former) in formers.iter_mut().enumerate() {
-                    if let Some(batch) = former.flush() {
-                        dispatch(t, batch, &mut window);
-                    }
-                }
-                return window;
-            }
+            Some(Msg::Submit(sub)) => batch.push(sub),
+            Some(Msg::Flush) if batch.is_empty() => {}
+            Some(Msg::Flush) | None => break,
         }
     }
+    (!batch.is_empty()).then_some(batch)
 }
 
-/// One tenant's executor: owns the tenant's [`RoutingService`] (and
-/// therefore its `NetDb` shard), translates admission ids to service
-/// request ids, and contains faults to the batch that raised them.
+/// One tenant's executor: pulls the tenant's batches, owns its
+/// [`RoutingService`] (and therefore its `NetDb` shard), translates
+/// admission ids to service request ids, and contains faults to the
+/// batch that raised them.
 fn executor_loop(
     tenant: TenantId,
     dev: &Device,
-    rx: Receiver<Vec<Submission>>,
-    cfg: ServerConfig,
-    obs: Recorder,
-    gate: Arc<TenantGate>,
-    budget: Arc<ThreadBudget>,
+    rx: Receiver<Msg>,
+    gate: &TenantGate,
+    shared: &Shared,
 ) -> TenantReport {
-    let mut svc = RoutingService::with_recorder(dev, tenant_service_config(&cfg), obs.clone());
+    let Shared {
+        cfg,
+        obs,
+        budget,
+        window,
+    } = shared;
+    let mut svc = RoutingService::with_recorder(dev, tenant_service_config(cfg), obs.clone());
     let meters = ExecMeters {
         completed: obs.counter(&labeled("svc.server.completed", "tenant", tenant)),
         batches: obs.counter(&labeled("svc.server.batches", "tenant", tenant)),
@@ -719,13 +594,18 @@ fn executor_loop(
     let mut poisoned = false;
     let mut batches: u64 = 0;
 
-    while let Ok(batch) = rx.recv() {
+    while let Some(batch) = next_batch(&rx, cfg.batch_max, cfg.mode) {
+        if let Some(w) = window {
+            w.lock()
+                .expect("no executor panics while ticking the window")
+                .tick(obs.elapsed_ns());
+        }
         if poisoned {
             for sub in batch {
                 finish(
-                    &gate,
+                    gate,
                     &meters,
-                    &obs,
+                    obs,
                     &sub,
                     ServerOutcome::Poisoned,
                     &mut outcomes,
@@ -741,7 +621,9 @@ fn executor_loop(
         let lease = budget.lease(cfg.tenant_threads.max(1));
         svc.set_threads(lease.granted());
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            let mut ids = Vec::with_capacity(batch.len());
+            // Per request: its service id and the service ids its
+            // victims were sent as.
+            let mut sent = Vec::with_capacity(batch.len());
             for sub in &batch {
                 if let Some((ft, fs)) = cfg.fault.panic_on {
                     if ft == tenant && fs == sub.seq {
@@ -749,21 +631,22 @@ fn executor_loop(
                     }
                 }
                 let kind = translate(&sub.kind, &seq_to_req);
+                let victims = targets(&kind).to_vec();
                 let id = svc
                     .submit_injected(kind, sub.priority, sub.deadline, Arc::clone(&sub.cancel))
                     .expect("a cut batch fits the tenant service queue");
-                ids.push(id);
+                sent.push((id, victims));
             }
             let report = svc.run_batch();
-            (ids, report)
+            (sent, report)
         }));
         drop(lease);
         match ran {
-            Ok((ids, report)) => {
-                let req_to_seq: HashMap<RequestId, u64> = ids
+            Ok((sent, report)) => {
+                let req_to_seq: HashMap<RequestId, u64> = sent
                     .iter()
                     .zip(&batch)
-                    .map(|(&id, sub)| (id, sub.seq))
+                    .map(|(&(id, _), sub)| (id, sub.seq))
                     .collect();
                 for entry in &report.log {
                     log.push(ServerLogEntry {
@@ -775,18 +658,18 @@ fn executor_loop(
                 if let (Some(total), Some(found)) = (leaked.as_mut(), report.leaked_segments) {
                     *total += found;
                 }
-                for (sub, &id) in batch.iter().zip(&ids) {
-                    seq_to_req.insert(sub.seq, id);
+                for (sub, (id, victims)) in batch.iter().zip(&sent) {
+                    seq_to_req.insert(sub.seq, *id);
                     let outcome = report
-                        .outcome(id)
+                        .outcome(*id)
                         .expect("one outcome per drained request")
                         .clone();
                     finish(
-                        &gate,
+                        gate,
                         &meters,
-                        &obs,
+                        obs,
                         sub,
-                        ServerOutcome::Done(outcome),
+                        ServerOutcome::Done(as_named(outcome, &sub.kind, victims)),
                         &mut outcomes,
                     );
                 }
@@ -799,9 +682,9 @@ fn executor_loop(
                 poisoned = true;
                 for sub in &batch {
                     finish(
-                        &gate,
+                        gate,
                         &meters,
-                        &obs,
+                        obs,
                         sub,
                         ServerOutcome::Poisoned,
                         &mut outcomes,
@@ -822,8 +705,9 @@ fn executor_loop(
     }
 }
 
-/// Resolve a terminal outcome: fulfill the ticket, release the admission
-/// slot, record latency.
+/// Resolve a terminal outcome: release the admission slot, record
+/// latency, fulfill the ticket. The slot goes first, so a client woken
+/// by [`Ticket::wait`] finds it free.
 fn finish(
     gate: &TenantGate,
     meters: &ExecMeters,
@@ -832,19 +716,20 @@ fn finish(
     outcome: ServerOutcome,
     outcomes: &mut Vec<(u64, ServerOutcome)>,
 ) {
+    gate.release();
     meters.completed.inc();
     meters
         .request_ns
         .record(obs.elapsed_ns().saturating_sub(sub.submitted_ns));
     outcomes.push((sub.seq, outcome.clone()));
     sub.ticket.fulfill(outcome);
-    gate.release();
 }
 
 /// Translate a client kind (victims = admission ids) into a service kind
-/// (victims = the tenant service's request ids). An unknown admission id
-/// maps to a reserved never-issued request id, so the service rejects it
-/// as `UnknownTarget` — the same terminal path as a stale victim.
+/// (victims = the tenant service's request ids). An admission id that is
+/// unknown, or still in the same batch, maps to a reserved never-issued
+/// request id, so the service rejects it as `UnknownTarget` — the same
+/// terminal path as a stale victim.
 fn translate(kind: &RequestKind, seq_to_req: &HashMap<u64, RequestId>) -> RequestKind {
     let lookup = |seq: &u64| seq_to_req.get(seq).copied().unwrap_or(u64::MAX);
     match kind {
@@ -857,16 +742,33 @@ fn translate(kind: &RequestKind, seq_to_req: &HashMap<u64, RequestId>) -> Reques
     }
 }
 
+/// Name a rejected victim by the admission id the client gave, not by
+/// the service id it was `sent` as. The service reports the first victim
+/// it refuses, so the first position holding that service id is the
+/// victim the client named there.
+fn as_named(outcome: RequestOutcome, asked: &RequestKind, sent: &[RequestId]) -> RequestOutcome {
+    match outcome {
+        RequestOutcome::Rejected(Reject::UnknownTarget(id)) => {
+            let at = sent
+                .iter()
+                .position(|&v| v == id)
+                .expect("the service refuses only victims it was sent");
+            RequestOutcome::Rejected(Reject::UnknownTarget(targets(asked)[at]))
+        }
+        other => other,
+    }
+}
+
 // ----------------------------------------------------------------------
 // Trace replay
 // ----------------------------------------------------------------------
 
 /// Replay a (possibly multi-tenant) recorded [`Trace`] through a server
-/// over `devices`, preserving the recorded batch boundaries exactly:
-/// watermark cuts are disabled, each recorded batch is flushed and
-/// barriered before the next is submitted. The result is
-/// bit-replayable — identical per-tenant censuses — in either mode and
-/// for any [`ServerConfig::threads`].
+/// over `devices`, preserving the recorded batch boundaries exactly: the
+/// server runs in [`ExecMode::Deterministic`] with no size cut, and each
+/// recorded batch is flushed and barriered before the next is submitted.
+/// The result is bit-replayable — identical per-tenant censuses —
+/// whatever `cfg.mode` says and for any [`ServerConfig::threads`].
 ///
 /// Victims are recorded as global trace ids; they are translated to the
 /// victim's per-tenant admission id here, so a trace request may only
@@ -889,8 +791,8 @@ pub fn replay_trace(
         }
     }
     let cfg = ServerConfig {
+        mode: ExecMode::Deterministic,
         batch_max: usize::MAX,
-        batch_wait: u64::MAX,
         ..cfg.clone()
     };
     let (result, report) = serve(devices, cfg, obs, |client| {
@@ -1038,26 +940,75 @@ mod tests {
     }
 
     #[test]
-    fn age_watermark_cuts_on_later_admissions() {
-        let (d0, d1) = (dev(), dev());
+    fn idle_threaded_server_runs_a_lone_request_without_flush() {
+        let d = dev();
         let cfg = ServerConfig {
-            batch_max: 100,
-            batch_wait: 2,
+            mode: ExecMode::Threaded,
             ..det_cfg()
         };
-        let ((), report) = serve(&[&d0, &d1], cfg, Recorder::disabled(), |client| {
-            let a = client.tenant(0);
-            let b = client.tenant(1);
-            let t = a.submit(RequestKind::Route(spec(0))).unwrap();
-            // Tenant 1 admissions advance the logical clock past tenant
-            // 0's age watermark.
-            for i in 1..5 {
-                b.submit(RequestKind::Route(spec(i))).unwrap();
-            }
-            assert!(t.wait().is_success(), "cut by age, not flush");
-            b.flush();
+        let ((), report) = serve(&[&d], cfg, Recorder::disabled(), |client| {
+            let t = client
+                .tenant(0)
+                .submit(RequestKind::Route(spec(0)))
+                .unwrap();
+            // No flush and no size cut: the idle executor takes it.
+            assert!(t.wait().is_success());
         });
         assert_eq!(report.tenants[0].batches, 1);
+    }
+
+    #[test]
+    fn admission_slot_is_free_once_wait_returns() {
+        let d = dev();
+        let cfg = ServerConfig {
+            queue_capacity: 1,
+            ..det_cfg()
+        };
+        let ((), report) = serve(&[&d], cfg, Recorder::disabled(), |client| {
+            let h = client.tenant(0);
+            for i in 0..200 {
+                let t = h
+                    .submit(RequestKind::Unroute(u64::MAX))
+                    .unwrap_or_else(|e| panic!("submit {i} refused after wait: {e}"));
+                h.flush();
+                t.wait();
+            }
+        });
+        assert_eq!(report.tenants[0].outcomes.len(), 200);
+    }
+
+    #[test]
+    fn rejections_name_the_admission_id_the_client_gave() {
+        let d = dev();
+        let ((), report) = serve(&[&d], det_cfg(), Recorder::disabled(), |client| {
+            let h = client.tenant(0);
+            // An unroute flushed with its victim: the service resolves
+            // victims against the state the batch starts from.
+            let route = h.submit(RequestKind::Route(spec(0))).unwrap();
+            let early = h.submit(RequestKind::Unroute(route.id())).unwrap();
+            h.flush();
+            assert!(route.wait().is_success());
+            assert_eq!(
+                early.wait(),
+                ServerOutcome::Done(RequestOutcome::Rejected(Reject::UnknownTarget(route.id())))
+            );
+            // A stale victim, already unrouted by an earlier batch.
+            let un = h.submit(RequestKind::Unroute(route.id())).unwrap();
+            h.flush();
+            assert!(un.wait().is_success());
+            let stale = h
+                .submit(RequestKind::Replace {
+                    remove: vec![route.id()],
+                    add: vec![spec(1)],
+                })
+                .unwrap();
+            h.flush();
+            assert_eq!(
+                stale.wait(),
+                ServerOutcome::Done(RequestOutcome::Rejected(Reject::UnknownTarget(route.id())))
+            );
+        });
+        assert!(report.tenants[0].census.is_empty());
     }
 
     #[test]
@@ -1095,7 +1046,7 @@ mod tests {
         let ((), report) = serve(&[&d], cfg, Recorder::disabled(), |client| {
             let h = client.tenant(0);
             let t = h.submit(RequestKind::Route(spec(0))).unwrap();
-            // Cancel while the request sits in the driver's forming
+            // Cancel while the request sits in the executor's forming
             // batch — before any service has seen it.
             t.cancel_token().cancel();
             h.flush();
@@ -1115,8 +1066,8 @@ mod tests {
         let (seq, report) = serve(&[&d], cfg, Recorder::disabled(), |client| {
             let h = client.tenant(0);
             let t = h.submit(RequestKind::Route(spec(0))).unwrap();
-            // Drop every handle without flushing: the disconnect flush
-            // must still run the request to a terminal outcome.
+            // Drop every handle without flushing: on disconnect the
+            // executor must still run the request to a terminal outcome.
             t.id()
         });
         assert_eq!(

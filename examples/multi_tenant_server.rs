@@ -1,9 +1,11 @@
 //! Multi-tenant routing server demo (DESIGN.md §3.8): three tenants,
 //! each owning a private XCV50 shard, submitting concurrently from their
 //! own producer threads into one shared server. Shows the full surface:
-//! watermark batching, per-tenant backpressure (`QueueFull`),
+//! batches cut by size and flush, per-tenant backpressure (`QueueFull`),
 //! cancellation of a queued request, and the tenant-labelled telemetry —
-//! the rolling window plus a Prometheus snapshot.
+//! the rolling window plus a Prometheus snapshot. The server runs in
+//! `ExecMode::Deterministic`, so a request stays unbatched until its
+//! batch fills or is flushed, and the cancellation demo is race-free.
 //!
 //! Run with: `cargo run --release --example multi_tenant_server`
 
@@ -23,9 +25,8 @@ fn main() {
     let cfg = ServerConfig {
         threads: 4,
         tenant_threads: 2,
-        mode: ExecMode::Threaded,
+        mode: ExecMode::Deterministic,
         batch_max: 8,
-        batch_wait: 4,
         // Small admission gates so the backpressure demo below can
         // outrun the executor and observe QueueFull.
         queue_capacity: 64,
@@ -33,7 +34,7 @@ fn main() {
     };
     println!(
         "server: {TENANTS} tenants on private {} shards, 4 shared workers, \
-         batches cut at 8 requests / 4 steps\n",
+         batches cut at 8 requests or a flush\n",
         devices[0].family()
     );
 
@@ -62,8 +63,9 @@ fn main() {
                 .collect();
             let routed: Vec<usize> = producers.into_iter().map(|j| j.join().unwrap()).collect();
 
-            // Cancellation: park a request behind the watermark, cancel
-            // it before the cut, and watch it resolve as Cancelled.
+            // Cancellation: a lone request waits in its tenant's forming
+            // batch until the flush; cancel it before the cut and watch
+            // it resolve as Cancelled.
             let h = client.tenant(0);
             let mut rng = DetRng::seed_from_u64(0xCA7);
             let doomed = h

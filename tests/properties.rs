@@ -1008,81 +1008,142 @@ fn criticality_driven_routing_is_bit_identical_across_workers() {
 // Multi-tenant server front-end (DESIGN.md §3.8)
 // ----------------------------------------------------------------------
 
-/// The batch former partitions admissions exactly: under any interleaving
-/// of pushes, watermark cuts and explicit flushes, every admitted item
-/// lands in exactly one emitted batch — nothing dropped, nothing
-/// duplicated, in-batch order = admission order.
+/// Deterministic batch cuts are a pure function of one tenant's
+/// admission and flush sequence: the executor's batches equal a model
+/// that cuts at `batch_max` requests or at a flush with something
+/// pending, and runs the rest at shutdown. Every admission lands in
+/// exactly one batch, in admission order.
 #[test]
-fn batch_former_partitions_admissions_exactly_once() {
-    use jroute_svc::server::BatchFormer;
-    harness::check("batch_former_partitions_admissions_exactly_once", |rng| {
-        let max = rng.gen_range(1usize..6);
-        let wait = rng.gen_range(0u64..5);
-        let mut former = BatchFormer::new(max, wait);
-        let total = rng.gen_range(1usize..40);
-        let mut now = 0u64;
-        let mut emitted: Vec<Vec<usize>> = Vec::new();
-        for item in 0..total {
-            now += rng.gen_range(0u64..3);
-            if let Some(batch) = former.push(now, item) {
-                assert_eq!(batch.len(), max, "size cut fires exactly at the watermark");
-                emitted.push(batch);
-            }
-            while former.due(now) {
-                if let Some(batch) = former.flush() {
-                    emitted.push(batch);
+fn deterministic_server_cuts_batches_at_size_and_flush_only() {
+    use jroute::obs::Recorder;
+    use jroute_svc::{serve, ExecMode, RequestKind, ServerConfig};
+
+    harness::check(
+        "deterministic_server_cuts_batches_at_size_and_flush_only",
+        |rng| {
+            let dev = dev();
+            let batch_max = rng.gen_range(1usize..6);
+            let n = rng.gen_range(1usize..20);
+            let leading_flushes = rng.gen_range(0usize..2);
+            // Flushes sent after each admission.
+            let flushes: Vec<usize> = (0..n)
+                .map(|_| [0, 0, 0, 1, 2][rng.gen_range(0usize..5)])
+                .collect();
+            let specs: Vec<_> = (0..n)
+                .map(|_| {
+                    let src = RowCol::new(rng.gen_range(1u16..14), rng.gen_range(1u16..22));
+                    fanout_spec(&dev, src, 2, 4, rng)
+                })
+                .collect();
+
+            let mut expect: Vec<Vec<u64>> = Vec::new();
+            let mut forming = Vec::new();
+            for (seq, &f) in flushes.iter().enumerate() {
+                forming.push(seq as u64);
+                if forming.len() == batch_max || f > 0 {
+                    expect.push(std::mem::take(&mut forming));
                 }
             }
-            if rng.gen_range(0u32..10) == 0 {
-                if let Some(batch) = former.flush() {
-                    emitted.push(batch);
-                }
+            if !forming.is_empty() {
+                expect.push(forming);
             }
-        }
-        if let Some(batch) = former.flush() {
-            emitted.push(batch);
-        }
-        assert!(former.is_empty());
-        let flat: Vec<usize> = emitted.iter().flatten().copied().collect();
-        let expect: Vec<usize> = (0..total).collect();
-        assert_eq!(flat, expect, "exactly-once, in admission order");
-        assert!(emitted.iter().all(|b| !b.is_empty() && b.len() <= max));
-    });
+
+            let cfg = ServerConfig {
+                threads: 2,
+                tenant_threads: 1,
+                mode: ExecMode::Deterministic,
+                audit: true,
+                batch_max,
+                ..Default::default()
+            };
+            let ((), report) = serve(&[&dev], cfg, Recorder::disabled(), |client| {
+                let h = client.tenant(0);
+                for _ in 0..leading_flushes {
+                    h.flush();
+                }
+                for (spec, &f) in specs.into_iter().zip(&flushes) {
+                    h.submit(RequestKind::Route(spec)).unwrap();
+                    for _ in 0..f {
+                        h.flush();
+                    }
+                }
+            });
+            let tenant = &report.tenants[0];
+            let mut got: Vec<Vec<u64>> = vec![Vec::new(); tenant.batches as usize];
+            for e in &tenant.log {
+                got[e.batch as usize].push(e.seq);
+            }
+            assert_eq!(got, expect, "batch_max {batch_max}, flushes {flushes:?}");
+            assert_eq!(tenant.leaked_segments, Some(0));
+        },
+    );
 }
 
-/// Age-watermark bound: a driver following the push → due → flush
-/// protocol never leaves an item pending past `wait` logical steps.
+/// A threaded executor takes whatever is queued when it goes idle, so
+/// its cuts follow timing; whatever the timing, with two producers
+/// racing and random flushes, every admission lands in exactly one
+/// batch and no batch holds more than `batch_max` requests.
 #[test]
-fn batch_former_never_holds_past_the_age_watermark() {
-    use jroute_svc::server::BatchFormer;
-    harness::check("batch_former_never_holds_past_the_age_watermark", |rng| {
-        let max = rng.gen_range(2usize..8);
-        let wait = rng.gen_range(1u64..6);
-        let mut former = BatchFormer::new(max, wait);
-        let mut now = 0u64;
-        let mut pending_since: Vec<u64> = Vec::new();
-        for item in 0..30usize {
-            now += rng.gen_range(1u64..3);
-            if former.push(now, item).is_some() {
-                pending_since.clear();
-            } else {
-                pending_since.push(now);
+fn threaded_server_batches_every_admission_once_within_batch_max() {
+    use jroute::obs::Recorder;
+    use jroute_svc::{serve, ExecMode, RequestKind, ServerConfig};
+
+    harness::check(
+        "threaded_server_batches_every_admission_once_within_batch_max",
+        |rng| {
+            let dev = dev();
+            let batch_max = rng.gen_range(1usize..6);
+            // Per producer: (spec, flush after it).
+            let work: Vec<Vec<_>> = (0..2)
+                .map(|_| {
+                    (0..rng.gen_range(1usize..12))
+                        .map(|_| {
+                            let src = RowCol::new(rng.gen_range(1u16..14), rng.gen_range(1u16..22));
+                            let spec = fanout_spec(&dev, src, 2, 4, rng);
+                            (spec, rng.gen_range(0u32..4) == 0)
+                        })
+                        .collect()
+                })
+                .collect();
+            let n: usize = work.iter().map(Vec::len).sum();
+            let cfg = ServerConfig {
+                threads: 2,
+                tenant_threads: 1,
+                mode: ExecMode::Threaded,
+                audit: true,
+                batch_max,
+                ..Default::default()
+            };
+            let ((), report) = serve(&[&dev], cfg, Recorder::disabled(), |client| {
+                std::thread::scope(|s| {
+                    for jobs in work {
+                        let h = client.tenant(0);
+                        s.spawn(move || {
+                            for (spec, flush) in jobs {
+                                h.submit(RequestKind::Route(spec)).unwrap();
+                                if flush {
+                                    h.flush();
+                                }
+                            }
+                        });
+                    }
+                });
+            });
+            let tenant = &report.tenants[0];
+            let mut seqs: Vec<u64> = tenant.log.iter().map(|e| e.seq).collect();
+            seqs.sort_unstable();
+            assert_eq!(seqs, (0..n as u64).collect::<Vec<_>>(), "exactly once");
+            let mut sizes = vec![0usize; tenant.batches as usize];
+            for e in &tenant.log {
+                sizes[e.batch as usize] += 1;
             }
-            while former.due(now) {
-                former.flush();
-                pending_since.clear();
-            }
-            // The protocol invariant: after watermark processing at
-            // `now`, nothing has waited `wait` steps or longer.
-            for &at in &pending_since {
-                assert!(
-                    now - at < wait,
-                    "item admitted at {at} still pending at {now} (wait {wait})"
-                );
-            }
-            assert_eq!(former.len(), pending_since.len());
-        }
-    });
+            assert!(
+                sizes.iter().all(|&k| (1..=batch_max).contains(&k)),
+                "batch sizes {sizes:?} vs batch_max {batch_max}"
+            );
+            assert_eq!(tenant.leaked_segments, Some(0));
+        },
+    );
 }
 
 /// Within one tenant and one batch, the server completes requests in
@@ -1104,7 +1165,6 @@ fn server_completes_one_tenant_batch_in_priority_order() {
                 mode: ExecMode::Deterministic,
                 audit: true,
                 batch_max: usize::MAX,
-                batch_wait: u64::MAX,
                 ..Default::default()
             };
             let mut net_rng = DetRng::seed_from_u64(rng.gen_range(0u64..u64::MAX));

@@ -1,6 +1,6 @@
 //! Multi-tenant server stress tests: the server against the sequential
 //! model, across seeds, pool widths, tenant counts and both batch
-//! clocks.
+//! modes.
 //!
 //! The server (DESIGN.md §3.8) promises that every tenant batch is a
 //! serialization in `(priority, admission)` order whatever width its
@@ -63,7 +63,6 @@ fn server_cfg(pool: usize, mode: ExecMode) -> ServerConfig {
         // so in deterministic mode every width sees the identical batch
         // structure.
         batch_max: usize::MAX,
-        batch_wait: u64::MAX,
         ..Default::default()
     }
 }
@@ -225,8 +224,8 @@ fn deterministic_server_matches_sequential_model_across_widths() {
     }
 }
 
-/// With the wall-clock batch clock, batch boundaries follow arrival
-/// timing, but every tenant still matches the sequential replay of its
+/// With threaded executors, batch boundaries follow arrival timing, but
+/// every tenant still matches the sequential replay of its
 /// own log at pool widths 1, 2 and 4 — on a device large enough that
 /// disjoint search regions run in parallel waves.
 #[test]
@@ -254,7 +253,8 @@ fn threaded_server_matches_sequential_model_at_every_width() {
 /// Server-path trace replay agrees with standalone per-shard replays:
 /// `replay_trace` over the whole tagged trace produces, per tenant, the
 /// census a fresh `RoutingService` reaches replaying that tenant's
-/// `subtrace` under the same per-tenant policy.
+/// `subtrace` under the same per-tenant policy — whichever mode the
+/// caller's config names, because replay pins recorded batch boundaries.
 #[test]
 fn server_trace_replay_matches_per_shard_standalone_replay() {
     let seed = 0x7E4A;
@@ -265,18 +265,31 @@ fn server_trace_replay_matches_per_shard_standalone_replay() {
     let trace = tenant_mix(&devices[0], &mix_params(tenants), &mut rng);
     trace.validate().unwrap();
 
-    let cfg = server_cfg(4, ExecMode::Deterministic);
-    let report =
-        replay_trace(&refs, &cfg, Recorder::disabled(), &trace).expect("valid trace replays");
+    for mode in [ExecMode::Deterministic, ExecMode::Threaded] {
+        let cfg = server_cfg(4, mode);
+        let report =
+            replay_trace(&refs, &cfg, Recorder::disabled(), &trace).expect("valid trace replays");
 
-    for t in 0..tenants {
-        let shard = trace.subtrace(t);
-        let mut svc = RoutingService::new(&devices[usize::from(t)], tenant_service_config(&cfg));
-        shard.replay(&mut svc).expect("subtrace replays standalone");
-        assert_eq!(
-            svc.db().census(),
-            report.tenants[usize::from(t)].census,
-            "tenant {t}: server path and standalone shard replay disagree"
-        );
+        for t in 0..tenants {
+            let shard = trace.subtrace(t);
+            let mut svc =
+                RoutingService::new(&devices[usize::from(t)], tenant_service_config(&cfg));
+            shard.replay(&mut svc).expect("subtrace replays standalone");
+            assert_eq!(
+                svc.db().census(),
+                report.tenants[usize::from(t)].census,
+                "{mode:?} tenant {t}: server path and standalone shard replay disagree"
+            );
+            let recorded = trace
+                .batches
+                .iter()
+                .filter(|batch| batch.iter().any(|r| r.tenant == t))
+                .count();
+            assert_eq!(
+                report.tenants[usize::from(t)].batches,
+                recorded as u64,
+                "{mode:?} tenant {t}: recorded batch boundaries moved"
+            );
+        }
     }
 }
