@@ -3,12 +3,13 @@
 //! Router latency is application latency in RTR systems; the paper lists
 //! faster algorithms as future work. We measure the wave-parallel
 //! routing engine's speedup over its own single-thread configuration on
-//! a large netlist, and verify thread count does not change what gets
-//! routed.
+//! a large netlist, and assert that thread count does not change what
+//! gets routed: every width must fail the same nets as the 1-thread run
+//! and give every routed net the same segments.
 
 use detrand::DetRng;
 use harness::{bench_group, bench_main, BatchSize, Bench};
-use jroute::parallel::{route_parallel, ParallelConfig};
+use jroute::parallel::{route_parallel, ParallelConfig, ParallelResult};
 use jroute_bench::{thread_counts, SEED};
 use jroute_workloads::{random_netlist, NetlistParams};
 use std::time::Instant;
@@ -39,16 +40,28 @@ fn table() {
     );
     let dev = dev();
     let specs = workload(&dev, 120);
+    let cfg = |threads| ParallelConfig {
+        threads,
+        ..Default::default()
+    };
+    let reference = route_parallel(&dev, &specs, &cfg(1));
+    let segments =
+        |r: &ParallelResult| -> Vec<_> { r.nets.iter().map(|n| n.segments.clone()).collect() };
     let mut base = None;
     for threads in thread_counts(&[1, 2, 4, 8]) {
-        let cfg = ParallelConfig {
-            threads,
-            ..Default::default()
-        };
         let t0 = Instant::now();
-        let r = route_parallel(&dev, &specs, &cfg);
+        let r = route_parallel(&dev, &specs, &cfg(threads));
         let dt = t0.elapsed().as_secs_f64();
         let base_dt = *base.get_or_insert(dt);
+        assert_eq!(
+            r.failed, reference.failed,
+            "{threads} threads failed other nets"
+        );
+        assert_eq!(
+            segments(&r),
+            segments(&reference),
+            "{threads} threads routed other segments"
+        );
         eprintln!(
             "{:<8} {:>5}/{:<3} {:>8} {:>10} {:>8.0}ms {:>8.2}x",
             threads,

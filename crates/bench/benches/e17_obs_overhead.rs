@@ -72,7 +72,7 @@ fn bench(c: &mut Bench) {
         )
     });
 
-    // E14 row: a 60-net service batch — queue plumbing, work-stealing
+    // E14 row: a 60-net service batch — queue plumbing, wave
     // dispatch, causal ctx propagation and the per-batch window tick.
     for (name, rec) in [
         ("e14_svc_disabled", Recorder::disabled as fn() -> Recorder),

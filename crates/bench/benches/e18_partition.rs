@@ -1,8 +1,8 @@
 //! E18: partition-parallel negotiation scaled past the XCV1000.
 //!
 //! The unified engine partitions each PathFinder iteration's dirty-net
-//! set into bbox-disjoint waves and routes every wave on the
-//! work-stealing pool, so negotiation throughput should scale with
+//! set into bbox-disjoint waves and routes every wave on scoped workers
+//! sharing one task cursor, so negotiation throughput should scale with
 //! worker count — on fabrics bigger than anything the paper's Virtex
 //! family shipped. This bench routes a scattered-plus-hotspots workload
 //! on the synthetic `SUPER4` member (4x the XCV1000 tile count) across a

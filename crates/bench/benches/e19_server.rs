@@ -16,7 +16,8 @@
 //! outcome, queueing included — the client-observable number). The
 //! deterministic-equivalence story is *not* re-proven here (the server
 //! stress suite owns it); the table asserts only sanity: every
-//! admission reaches a terminal outcome and no tenant poisons.
+//! admission reaches a terminal outcome, no tenant poisons, and the
+//! success count is the same at every worker count.
 
 use harness::{bench_group, bench_main, BatchSize, Bench};
 use jroute_bench::thread_counts;
@@ -41,25 +42,35 @@ fn server_cfg(workers: usize) -> ServerConfig {
 }
 
 /// One tenant's producer: a seeded mix of routes and unroutes of its own
-/// earlier admissions, flushed at the end, every ticket waited. Returns
-/// the number of successful requests.
+/// earlier routes, flushed at the end, every ticket waited. Returns the
+/// number of successful requests.
+///
+/// An unroute names a route only once that route's ticket reads
+/// success (waiting for it if need be). Naming an unconfirmed route
+/// would make the unroute's fate depend on whether both landed in one
+/// batch, so the success count would measure where batches were cut.
 fn produce(handle: &jroute_svc::TenantHandle, tenant: TenantId, n: usize, dev: &Device) -> usize {
     let mut rng = detrand::DetRng::seed_from_u64(jroute_bench::SEED ^ u64::from(tenant));
-    let mut tickets = Vec::with_capacity(n);
-    let mut routed: Vec<u64> = Vec::new();
+    let mut tickets: Vec<jroute_svc::Ticket> = Vec::with_capacity(n);
+    // Indices into `tickets` of routes not yet named as a victim.
+    let mut routes: Vec<usize> = Vec::new();
     for i in 0..n {
-        let kind = if i % 4 == 3 && !routed.is_empty() {
-            RequestKind::Unroute(routed.swap_remove(rng.gen_range(0..routed.len())))
-        } else {
-            let source = RowCol::new(rng.gen_range(1u16..14), rng.gen_range(1u16..22));
-            RequestKind::Route(fanout_spec(dev, source, 2, 4, &mut rng))
-        };
-        let route = matches!(kind, RequestKind::Route(_));
-        let ticket = handle.submit(kind).expect("gate sized for the workload");
-        if route {
-            routed.push(ticket.id());
+        let mut victim = None;
+        while i % 4 == 3 && victim.is_none() && !routes.is_empty() {
+            let route = &tickets[routes.swap_remove(rng.gen_range(0..routes.len()))];
+            victim = route.wait().is_success().then(|| route.id());
         }
-        tickets.push(ticket);
+        let kind = match victim {
+            Some(id) => RequestKind::Unroute(id),
+            None => {
+                let source = RowCol::new(rng.gen_range(1u16..14), rng.gen_range(1u16..22));
+                RequestKind::Route(fanout_spec(dev, source, 2, 4, &mut rng))
+            }
+        };
+        if matches!(kind, RequestKind::Route(_)) {
+            routes.push(tickets.len());
+        }
+        tickets.push(handle.submit(kind).expect("gate sized for the workload"));
     }
     handle.flush();
     tickets.iter().filter(|t| t.wait().is_success()).count()
@@ -108,8 +119,10 @@ fn table() {
         "tenants", "workers", "ok", "time", "req/s", "p50", "p99"
     );
     for tenants in [1usize, 2, 4] {
+        let mut first_ok = None;
         for workers in thread_counts(&[1, 2, 4, 8]) {
             let (dt, ok, p50, p99) = run(tenants, workers);
+            let want = *first_ok.get_or_insert(ok);
             let total = tenants * PER_TENANT;
             eprintln!(
                 "{:<8} {:>8} {:>6} {:>8.0}ms {:>10.0} {:>10.2}ms {:>10.2}ms",
@@ -122,6 +135,10 @@ fn table() {
                 p99 as f64 / 1e6,
             );
             assert!(ok > 0, "the mix must commit something");
+            assert_eq!(
+                ok, want,
+                "{tenants} tenants: success count moved with {workers} workers"
+            );
         }
     }
 }

@@ -62,7 +62,7 @@ pub use partition::{ScratchPool, SearchBox, WavePlan};
 pub use path::Path;
 pub use ports::{Port, PortDb, PortDir};
 pub use router::{Remembered, Router, RouterOptions};
-pub use schedule::{StealDeque, StealScheduler, WaveExec};
+pub use schedule::WaveExec;
 pub use stats::{ResourceUsage, RouterStats};
 pub use steiner::SteinerTree;
 pub use template::Template;

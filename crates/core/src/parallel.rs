@@ -277,8 +277,6 @@ pub struct EngineStats {
     pub waves: u64,
     /// Frozen results re-searched at commit under the staleness rule.
     pub researched: u64,
-    /// Searches a worker stole from another worker's deque.
-    pub steals: u64,
 }
 
 /// A job's search, frozen until its commit.
@@ -435,28 +433,26 @@ impl<'a> Engine<'a> {
     /// in parallel against `db`.
     fn search_wave(&mut self, db: &NetDb) {
         let k = self.decided;
-        let ready: Vec<u64> = (k..self.jobs.len())
+        let ready: Vec<usize> = (k..self.jobs.len())
             .filter(|&m| {
                 self.frozen[m].is_none()
                     && self.jobs[m].as_ref().is_some_and(|j| !j.specs.is_empty())
                     && self.after[m].is_none_or(|d| d < k)
             })
-            .map(|m| m as u64)
             .collect();
         let at = self.journal.len();
         let this = &*self;
-        let run = this.exec.run_wave(
+        let searched = this.exec.run_wave(
             &ready,
-            |_| this.pool.lease(this.dev),
+            || this.pool.lease(this.dev),
             |scratch, m| {
-                let job = this.jobs[m as usize].as_ref().expect("ready job");
+                let job = this.jobs[m].as_ref().expect("ready job");
                 this.search(job, db, scratch, at)
             },
         );
         self.stats.waves += 1;
-        self.stats.steals += run.steals;
-        for (m, frozen) in run.results {
-            self.frozen[m as usize] = Some(frozen);
+        for (m, frozen) in ready.into_iter().zip(searched) {
+            self.frozen[m] = Some(frozen);
         }
     }
 
@@ -533,9 +529,9 @@ pub fn route_parallel(dev: &Device, specs: &[NetSpec], cfg: &ParallelConfig) -> 
 }
 
 /// [`route_parallel`] with observability: a `parallel.route` span over
-/// the run, one `parallel.net` span per net search linked to it (stolen
-/// searches included), and `parallel.waves` / `parallel.researched` /
-/// `parallel.steals` / `parallel.nets_failed` counters.
+/// the run, one `parallel.net` span per net search linked to it (wave
+/// searches and commit-time re-searches alike), and `parallel.waves` /
+/// `parallel.researched` / `parallel.nets_failed` counters.
 pub fn route_parallel_obs(
     dev: &Device,
     specs: &[NetSpec],
@@ -559,7 +555,7 @@ pub fn route_parallel_obs(
         })
         .collect();
     let exec = WaveExec {
-        threads: cfg.threads.max(1),
+        threads: cfg.threads,
     };
     let mut engine = Engine::new(dev, &db, jobs, &cfg.maze, exec, &pool, obs, "parallel.net");
     let mut nets = Vec::with_capacity(specs.len());
@@ -573,7 +569,6 @@ pub fn route_parallel_obs(
     let stats = engine.stats();
     obs.counter("parallel.waves").add(stats.waves);
     obs.counter("parallel.researched").add(stats.researched);
-    obs.counter("parallel.steals").add(stats.steals);
     obs.counter("parallel.nets_failed").add(failed.len() as u64);
     ParallelResult {
         nets,

@@ -412,7 +412,7 @@ pub fn route_all_obs(
     let mut cong = Congestion::new(space);
     let pool = ScratchPool::new();
     let exec = WaveExec {
-        threads: cfg.threads.max(1),
+        threads: cfg.threads,
     };
     // Waves require every dirty net to carry a search region that really
     // confines its search: long lines are bbox-exempt in the maze, so a
@@ -525,12 +525,10 @@ pub fn route_all_obs(
                 // Parallel bounded searches against the now-frozen
                 // congestion (shared immutably; workers lease scratches
                 // from the pool).
-                let tasks: Vec<u64> = wave.iter().map(|&k| k as u64).collect();
-                let run = exec.run_wave(
-                    &tasks,
-                    |_| pool.lease(dev),
-                    |scratch, t| {
-                        let k = t as usize;
+                let searched = exec.run_wave(
+                    wave,
+                    || pool.lease(dev),
+                    |scratch, k| {
                         route_net_tree(
                             dev,
                             space,
@@ -549,8 +547,8 @@ pub fn route_all_obs(
                 // Barrier 2 — commit, in net order. Disjointness makes
                 // the order immaterial for results; fixing it anyway
                 // keeps the run reproducible down to iteration counts.
-                for (t, (built, nodes)) in run.results {
-                    let i = dirty[t as usize];
+                for (&k, (built, nodes)) in wave.iter().zip(searched) {
+                    let i = dirty[k];
                     nodes_expanded += nodes;
                     match built {
                         Some((pips, segments, sink_delays)) => {

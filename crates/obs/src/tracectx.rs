@@ -6,7 +6,7 @@
 //! both ambiently from the enclosing [`Span`](crate::Span), so most code
 //! never touches a `TraceCtx`; the struct exists to carry causality
 //! across the places the per-thread ambient stack cannot reach —
-//! work-stealing deques, retry parking lots, and `Replace`
+//! wave workers, retry parking lots, and `Replace`
 //! chain-transfers, where the thread that *finishes* a request is not
 //! the thread that *submitted* it.
 //!

@@ -2,7 +2,7 @@
 //!
 //! A [`Report`] answers "what happened over the whole run"; operations
 //! questions are about *now* and *lately* — is queue depth climbing, did
-//! batch-latency p99 spike after that replace storm, what is the steal
+//! batch-latency p99 spike after that replace storm, what is the wave
 //! rate this window. The [`Aggregator`] tracks a set of registry handles
 //! ([`Counter`]/[`Gauge`]/[`Histo`]) and, on every [`Aggregator::tick`],
 //! appends one [`Sample`] holding each metric's **windowed** view:

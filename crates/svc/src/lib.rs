@@ -129,7 +129,6 @@ struct SvcMeters {
     batches: Counter,
     executed: Counter,
     waves: Counter,
-    steals: Counter,
     researched: Counter,
     queue_depth: Gauge,
     /// Queue depth after each submission.
@@ -157,7 +156,6 @@ impl SvcMeters {
             batches: obs.counter("svc.batches"),
             executed: obs.counter("svc.executed"),
             waves: obs.counter("svc.waves"),
-            steals: obs.counter("svc.steals"),
             researched: obs.counter("svc.researched"),
             queue_depth: obs.gauge("svc.queue_depth_now"),
             queue_depths: obs.histogram("svc.queue_depth"),
@@ -250,7 +248,6 @@ impl<'d> RoutingService<'d> {
             w.track_histogram("svc.batch_ns", meters.batch_ns.clone());
             w.track_counter("svc.executed", meters.executed.clone());
             w.track_counter("svc.waves", meters.waves.clone());
-            w.track_counter("svc.steals", meters.steals.clone());
             w.track_counter("svc.researched", meters.researched.clone());
             w.track_counter(
                 "pathfinder.nets_rerouted",
@@ -342,7 +339,7 @@ impl<'d> RoutingService<'d> {
 
     /// The rolling per-batch time-series (one sample appended at the end
     /// of every non-empty `run_batch`): queue depth at submission peak,
-    /// batch latency p50/p99, executed/wave/steal/re-search deltas and
+    /// batch latency p50/p99, executed/wave/re-search deltas and
     /// nets rerouted by negotiation. `None` when the recorder is
     /// disabled.
     pub fn window(&self) -> Option<&Aggregator> {
@@ -488,7 +485,7 @@ impl<'d> RoutingService<'d> {
             })
             .collect();
         let exec = WaveExec {
-            threads: self.cfg.threads.max(1),
+            threads: self.cfg.threads,
         };
         let mut engine = Engine::new(
             self.dev,
@@ -543,7 +540,6 @@ impl<'d> RoutingService<'d> {
         self.meters.batches.inc();
         self.meters.executed.add(requests.len() as u64);
         self.meters.waves.add(stats.waves);
-        self.meters.steals.add(stats.steals);
         self.meters.researched.add(stats.researched);
         for (_, o) in &outcomes {
             self.meters.outcome(o).inc();

@@ -37,6 +37,14 @@ grep -q '"id": "e15/incremental_' target/bench-json/BENCH_e15_convergence.json
 grep -q '"id": "e15/full_ripup_' target/bench-json/BENCH_e15_convergence.json
 echo "    wrote target/bench-json/BENCH_e15_convergence.json"
 
+echo "==> bench smoke: e12_parallel (route_parallel through the threaded wave dispatcher)"
+BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 JROUTE_THREADS=1,2 \
+    cargo bench --offline --bench e12_parallel
+test -s target/bench-json/BENCH_e12_parallel.json
+grep -q '"id": "e12/route_parallel_1t"' target/bench-json/BENCH_e12_parallel.json
+grep -q '"id": "e12/route_parallel_2t"' target/bench-json/BENCH_e12_parallel.json
+echo "    wrote target/bench-json/BENCH_e12_parallel.json"
+
 echo "==> bench smoke: e18_partition (partition-parallel negotiation on SUPER4)"
 BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 JROUTE_THREADS=1,2 \
     cargo bench --offline --bench e18_partition

@@ -313,10 +313,10 @@ fn rotating_sink_has_no_torn_lines_under_concurrent_writers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Drive a real threaded service batch and assert both halves of the
-/// tentpole: the Chrome export is shape-valid, and every routing span is
-/// causally linked to the `svc.request` root that triggered it — across
-/// work-stealing thread hand-offs. The nets sit on a grid wide enough
+/// Drive a real threaded service batch and assert two things: the Chrome
+/// export is shape-valid, and every routing span is causally linked to
+/// the `svc.request` root that triggered it — across the hand-off to
+/// wave worker threads. The nets sit on a grid wide enough
 /// apart that their search regions are disjoint, so the batch runs as
 /// one wave on worker threads.
 #[test]

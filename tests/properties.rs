@@ -331,75 +331,46 @@ fn long_lines_obey_the_option() {
     });
 }
 
-/// The work-stealing deque agrees with a plain `VecDeque` reference
-/// model over any seeded interleaving of owner pushes/pops and thief
-/// steals. Single-threaded model-check: with one actor the deque's
-/// semantics are exact — push appends at the bottom, pop takes the
-/// bottom (LIFO), steal takes the top (FIFO) — so every operation's
-/// result must match the reference queue verbatim.
+/// Wave dispatch liveness and exactness: under any thread count and
+/// task count, with a few tasks slowed so workers finish out of order,
+/// `WaveExec::run_wave` runs every task exactly once, returns the
+/// results in task order, and builds at most one worker state per
+/// worker (exactly one when the wave runs inline).
 #[test]
-fn steal_deque_matches_reference_queue() {
-    use jroute::StealDeque;
-    use std::collections::VecDeque;
-    harness::check("steal_deque_matches_reference_queue", |rng| {
-        let cap = 1usize << rng.gen_range(0u32..7);
-        let deque = StealDeque::with_capacity(cap);
-        let mut model: VecDeque<u64> = VecDeque::new();
-        let mut next = 0u64;
-        for _ in 0..400 {
-            match rng.gen_range(0u32..4) {
-                0 | 1 => {
-                    // Owner push; rejected exactly when the model is full.
-                    let ok = deque.push(next).is_ok();
-                    assert_eq!(ok, model.len() < cap, "push acceptance diverged");
-                    if ok {
-                        model.push_back(next);
-                    }
-                    next += 1;
-                }
-                2 => assert_eq!(deque.pop(), model.pop_back(), "pop diverged"),
-                _ => assert_eq!(deque.steal(), model.pop_front(), "steal diverged"),
-            }
-            assert_eq!(deque.len(), model.len());
-            assert_eq!(deque.is_empty(), model.is_empty());
-        }
-        // Drain: everything that went in comes out exactly once.
-        while let Some(t) = deque.steal() {
-            assert_eq!(Some(t), model.pop_front());
-        }
-        assert!(model.is_empty());
-    });
-}
-
-/// Scheduler liveness and exactness: under any thread count and task
-/// count, the work-stealing scheduler executes every task exactly once
-/// and returns one result per task.
-#[test]
-fn work_stealing_scheduler_runs_every_task_once() {
+fn wave_dispatch_runs_every_task_once_in_order() {
+    use jroute::WaveExec;
     use std::sync::atomic::{AtomicU32, Ordering};
-    harness::check("work_stealing_scheduler_runs_every_task_once", |rng| {
+    harness::check("wave_dispatch_runs_every_task_once_in_order", |rng| {
         let n = rng.gen_range(0usize..200);
         let threads = rng.gen_range(1usize..9);
-        let tasks: Vec<u64> = (0..n as u64).collect();
+        let tasks: Vec<usize> = (0..n).collect();
+        let slow: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.05)).collect();
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let run = jroute::StealScheduler.run(
-            threads,
+        let inits = AtomicU32::new(0);
+        let got = WaveExec { threads }.run_wave(
             &tasks,
-            |_| (),
+            || inits.fetch_add(1, Ordering::Relaxed),
             |_, t| {
-                hits[t as usize].fetch_add(1, Ordering::Relaxed);
+                if slow[t] {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                hits[t].fetch_add(1, Ordering::Relaxed);
                 t * 2
             },
         );
-        assert_eq!(run.results.len(), n, "one result per task");
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "task {i} execution count");
         }
-        let mut seen: Vec<u64> = run.results.iter().map(|&(t, _)| t).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, tasks, "result set covers every task exactly once");
-        for &(t, r) in &run.results {
-            assert_eq!(r, t * 2, "result paired with the wrong task");
+        let want: Vec<usize> = tasks.iter().map(|t| t * 2).collect();
+        assert_eq!(got, want, "one result per task, in task order");
+        let inits = inits.load(Ordering::Relaxed) as usize;
+        if threads <= 1 || n <= 1 {
+            assert_eq!(inits, 1, "an inline wave builds one state");
+        } else {
+            assert!(
+                (1..=threads.min(n)).contains(&inits),
+                "{inits} worker states for {threads} threads and {n} tasks"
+            );
         }
     });
 }
