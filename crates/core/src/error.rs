@@ -54,6 +54,9 @@ pub enum RouteError {
     /// A source endpoint must be a drivable wire (a logic output or an
     /// already-driven segment).
     NotASource { segment: Segment },
+    /// A negotiated result still overuses `overused` segments, so
+    /// configuring it would create contention.
+    IllegalResult { overused: usize },
 }
 
 impl From<JBitsError> for RouteError {
@@ -102,6 +105,9 @@ impl std::fmt::Display for RouteError {
             }
             RouteError::NotASource { segment } => {
                 write!(f, "{segment} is not a drivable source")
+            }
+            RouteError::IllegalResult { overused } => {
+                write!(f, "result is not legal: {overused} segments overused")
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Maze routing over the segment graph.
 //!
 //! The paper's auto-routing calls (§3.1) name the classic maze router
-//! [4][5] as the fallback when templates fail, and as one possible
+//! \[4\]\[5\] as the fallback when templates fail, and as one possible
 //! implementation of point-to-point routing. This module implements an
 //! A*-guided variant of Lee's algorithm over *canonical segments*: nodes
 //! are wire segments, edges are GRM PIPs queried from the architecture

@@ -73,6 +73,25 @@ impl NetSlots {
         self.words[idx].checked_sub(1).map(NetId)
     }
 
+    /// Every set slot in index order. Walks the bitmap a word at a
+    /// time, skipping empty words, and reads the word table only at set
+    /// bits, so the cost follows occupancy rather than device size.
+    fn iter(&self) -> impl Iterator<Item = (SegIdx, NetId)> + '_ {
+        self.bits
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w != 0)
+            .flat_map(move |(k, &w)| {
+                let mut rest = w;
+                std::iter::from_fn(move || {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest.wrapping_sub(1);
+                    (bit < 64).then(|| SegIdx(k as u32 * 64 + bit))
+                })
+            })
+            .filter_map(move |idx| self.words[idx].checked_sub(1).map(|id| (idx, NetId(id))))
+    }
+
     #[inline]
     fn set(&mut self, idx: SegIdx, id: Option<NetId>) {
         let (i, bit) = (idx.as_usize(), 1u64 << (idx.as_usize() % 64));
@@ -300,14 +319,15 @@ impl NetDb {
         self.used
     }
 
-    /// Iterate every owned segment as `(Segment, NetId)` — the dense
-    /// census walk behind `stats::ResourceUsage`.
+    /// Iterate every owned segment as `(Segment, NetId)` in dense-index
+    /// order — the census walk behind `stats::ResourceUsage`. It walks
+    /// the occupancy bitmap, so its cost follows how much is routed, not
+    /// the size of the device.
     pub fn iter_used(&self) -> impl Iterator<Item = (Segment, NetId)> + '_ {
         let space = self.space();
         self.occ
-            .words
             .iter()
-            .filter_map(move |(idx, &v)| v.checked_sub(1).map(|id| (space.segment(idx), NetId(id))))
+            .map(move |(idx, id)| (space.segment(idx), id))
     }
 
     /// Deterministically ordered census of every owned segment: the
@@ -315,10 +335,7 @@ impl NetDb {
     /// (dense-index order, so two databases over the same space compare
     /// element-wise).
     pub fn census(&self) -> Vec<(Segment, NetId)> {
-        let space = self.space();
-        let mut v: Vec<(Segment, NetId)> = self.iter_used().collect();
-        v.sort_by_key(|&(seg, _)| space.index(seg).0);
-        v
+        self.iter_used().collect()
     }
 
     /// Mark `seg` owned by `id`.

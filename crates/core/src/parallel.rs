@@ -59,7 +59,7 @@ use virtex::{BBox, Device, RowCol, Segment, WireKind};
 const NET_BBOX_MARGIN: u16 = partition::DEFAULT_MARGIN;
 
 /// The default search region for `spec`: its terminal bounding box plus
-/// routing slack ([`NET_BBOX_MARGIN`] of detour room and hex reach — see
+/// routing slack (`NET_BBOX_MARGIN` of detour room and hex reach — see
 /// [`SearchBox::region`], the one canonical expansion).
 pub fn net_search_box(dev: &Device, spec: &NetSpec) -> BBox {
     SearchBox::of_spec(spec).region(NET_BBOX_MARGIN, dev.dims())

@@ -4,9 +4,9 @@
 //! The paper contrasts its greedy auto-router with conventional CAD
 //! routers: *"In an RTR environment traditional routing algorithms
 //! require too much time"* (§3.1), and cites the routability-driven
-//! router of Swartz/Betz/Rose [6] as future work (§6). Experiment E8
+//! router of Swartz/Betz/Rose \[6\] as future work (§6). Experiment E8
 //! measures that trade-off: this module implements the classic
-//! negotiated-congestion scheme (PathFinder, as used by [6] and VPR) over
+//! negotiated-congestion scheme (PathFinder, as used by \[6\] and VPR) over
 //! our segment graph.
 //!
 //! The algorithm routes every net allowing resource overuse, then
@@ -19,20 +19,19 @@
 //! and rerouted; converged nets stay put with their occupancy priced
 //! into everyone else's searches. Combined with per-net bounding-box
 //! region pruning and the admissible distance lookahead in
-//! [`maze`], late iterations cost time proportional to the surviving
-//! congestion, not to the design (ROADMAP E9/E10; cf. the hotspot-aware
-//! incremental rerouting of arXiv:2407.00009).
+//! [`maze`](crate::maze), late iterations cost time proportional to the
+//! surviving congestion, not to the design (ROADMAP E9/E10; cf. the
+//! hotspot-aware incremental rerouting of arXiv:2407.00009).
 
 use crate::endpoint::Pin;
 use crate::error::{Result, RouteError};
-use crate::maze::{self, MazeConfig, MazeScratch, CRIT_ONE};
+use crate::maze::{MazeConfig, MazeScratch, CRIT_ONE};
 use crate::partition::{self, ScratchPool, SearchBox};
 use crate::schedule::WaveExec;
-use crate::steiner;
+use crate::steiner::{self, SteinerTree};
 use jbits::{Bitstream, Pip};
 use jroute_obs::{Counter, Recorder};
 use std::collections::HashMap;
-use virtex::delay::{wire_delay_ps, PIP_DELAY_PS};
 use virtex::wire::HEX_SPAN;
 use virtex::{BBox, Device, RowCol, SegIdx, SegSpace, SegVec, Segment, StampedSegVec};
 
@@ -128,6 +127,28 @@ impl Congestion {
         self.touch(idx);
     }
 
+    /// Occupy a freshly built tree as net `net`'s route.
+    fn commit(&mut self, net: usize, spec: &NetSpec, tree: SteinerTree) -> RoutedNet {
+        let space = self.present.space();
+        for seg in &tree.segments {
+            self.occupy(space.index(*seg), net as u32);
+        }
+        RoutedNet {
+            spec: spec.clone(),
+            pips: tree.pips,
+            segments: tree.segments,
+            sink_delays: tree.sink_delays,
+        }
+    }
+
+    /// Release every segment of net `net`'s old route.
+    fn rip_up(&mut self, net: usize, old: &RoutedNet) {
+        let space = self.present.space();
+        for seg in &old.segments {
+            self.release(space.index(*seg), net as u32);
+        }
+    }
+
     /// Every net currently occupying `idx` (the reverse index).
     fn nets_at(&self, idx: SegIdx) -> impl Iterator<Item = u32> + '_ {
         let first = self.owner[idx].checked_sub(1);
@@ -200,8 +221,9 @@ pub struct TimingConfig {
     /// `CRIT_ONE` so even the critical path stays congestion-aware
     /// enough to converge.
     pub max_crit: u32,
-    /// Nets with at least this many sinks route through the
-    /// [`steiner`] tree builder instead of greedy sink-by-sink reuse.
+    /// Nets with at least this many sinks take the best-of-two
+    /// [`steiner::build_tree_obs`]; smaller nets grow the greedy
+    /// path-reuse tree alone, its first arm.
     pub steiner_fanout: usize,
 }
 
@@ -246,12 +268,14 @@ pub struct PathFinderConfig {
     /// nets whose search regions are disjoint, so thread count changes
     /// wall clock, never results.
     pub threads: usize,
-    /// Timing-driven negotiation. `None` (the default) is the pure
-    /// congestion cost, bit-identical to the pre-timing router; `Some`
-    /// folds per-sink criticality into every search and dispatches
-    /// high-fanout nets to the Steiner builder. The criticality table is
-    /// frozen per iteration before waves dispatch, so results stay
-    /// bit-identical across worker counts.
+    /// Timing-driven negotiation. `None` (the default) prices searches
+    /// by congestion alone and grows every net greedily; `Some` folds
+    /// per-sink criticality into every search, runs one criticality
+    /// refinement pass after the first legal convergence, and sends
+    /// nets of [`TimingConfig::steiner_fanout`] sinks or more to the
+    /// best-of-two Steiner builder. The criticality table is frozen per
+    /// iteration before waves dispatch, so results stay bit-identical
+    /// across worker counts.
     pub timing: Option<TimingConfig>,
 }
 
@@ -351,8 +375,8 @@ pub struct RoutedNet {
     pub segments: Vec<Segment>,
     /// Per-sink arrival delay in picoseconds (aligned with
     /// `spec.sinks`), maintained incrementally while the tree is built.
-    /// Empty when timing-driven negotiation is off — the pure-congestion
-    /// path does no delay accounting.
+    /// Always filled; timing-driven negotiation reads it to set the next
+    /// iteration's criticalities.
     pub sink_delays: Vec<u64>,
 }
 
@@ -365,7 +389,8 @@ pub struct PathFinderResult {
     pub legal: bool,
     /// Iterations actually executed.
     pub iterations: usize,
-    /// Total maze nodes expanded (effort metric for E8).
+    /// Maze nodes expanded by the trees that were built (effort metric
+    /// for E8); a build that failed adds nothing.
     pub nodes_expanded: usize,
     /// Segments still overused when the budget ran out.
     pub overused: usize,
@@ -517,9 +542,7 @@ pub fn route_all_obs(
                     let i = dirty[k];
                     if let Some(old) = routes[i].take() {
                         c_ripups.inc();
-                        for seg in &old.segments {
-                            cong.release(space.index(*seg), i as u32);
-                        }
+                        cong.rip_up(i, &old);
                     }
                 }
                 // Parallel bounded searches against the now-frozen
@@ -547,20 +570,12 @@ pub fn route_all_obs(
                 // Barrier 2 — commit, in net order. Disjointness makes
                 // the order immaterial for results; fixing it anyway
                 // keeps the run reproducible down to iteration counts.
-                for (&k, (built, nodes)) in wave.iter().zip(searched) {
+                for (&k, built) in wave.iter().zip(searched) {
                     let i = dirty[k];
-                    nodes_expanded += nodes;
                     match built {
-                        Some((pips, segments, sink_delays)) => {
-                            for seg in &segments {
-                                cong.occupy(space.index(*seg), i as u32);
-                            }
-                            routes[i] = Some(RoutedNet {
-                                spec: specs[i].clone(),
-                                pips,
-                                segments,
-                                sink_delays,
-                            });
+                        Some(tree) => {
+                            nodes_expanded += tree.nodes_expanded;
+                            routes[i] = Some(cong.commit(i, &specs[i], tree));
                         }
                         None => serial.push((i, true)),
                     }
@@ -575,9 +590,7 @@ pub fn route_all_obs(
             // misses — the wave already released them).
             if let Some(old) = routes[i].take() {
                 c_ripups.inc();
-                for seg in &old.segments {
-                    cong.release(space.index(*seg), i as u32);
-                }
+                cong.rip_up(i, &old);
             }
             let prep = &prepared[i];
             let bbox = if skip_bounded {
@@ -591,7 +604,7 @@ pub fn route_all_obs(
                 cfg.bbox_margin.and_then(|m| prep.search_box(m, dims))
             };
             let mut scratch = pool.lease(dev);
-            let (built, nodes) = route_net_tree(
+            let built = route_net_tree(
                 dev,
                 space,
                 &cong,
@@ -604,23 +617,15 @@ pub fn route_all_obs(
                 &mut scratch,
                 obs,
             );
-            nodes_expanded += nodes;
-            let Some((pips, segments, sink_delays)) = built else {
+            let Some(tree) = built else {
                 // Node budget exhausted — leave unrouted this iteration;
                 // congestion relief may fix it next round.
                 any_failure = true;
                 prepared[i].widen(HEX_SPAN);
                 continue;
             };
-            for seg in &segments {
-                cong.occupy(space.index(*seg), i as u32);
-            }
-            routes[i] = Some(RoutedNet {
-                spec: specs[i].clone(),
-                pips,
-                segments,
-                sink_delays,
-            });
+            nodes_expanded += tree.nodes_expanded;
+            routes[i] = Some(cong.commit(i, &specs[i], tree));
         }
 
         // Congestion accounting over prev-overused ∪ touched only.
@@ -731,14 +736,14 @@ fn compute_crits(routes: &[Option<RoutedNet>], tcfg: &TimingConfig) -> Vec<Vec<u
 /// Pure with respect to shared state — nothing is occupied or released
 /// here; the caller commits (at the wave barrier or inline).
 ///
-/// `timing` carries this net's per-sink criticalities and the Steiner
-/// fanout threshold; `None` is the pure-congestion sink-by-sink loop,
-/// bit-identical to the pre-timing router. `retry_unbounded` selects the
-/// serial-pass semantics: a bounded miss counts a fallback and re-runs
-/// unbounded (wave workers pass `None` and fail fast — their misses take
-/// the serial path afterwards). Returns the built route or `None`, plus
-/// the nodes expanded either way (partial effort still counts toward
-/// the E8 metric).
+/// Every net grows the paper's path-reuse tree through [`steiner`]: the
+/// greedy arm in input order, or the best-of-two builder for nets of at
+/// least `steiner_fanout` sinks. `timing` carries this net's per-sink
+/// criticalities and that threshold; `None` is the pure-congestion cost
+/// with no Steiner dispatch. `retry_unbounded` selects the serial-pass
+/// semantics: a bounded miss counts a fallback and rebuilds the whole
+/// net over the device (wave workers pass `None` and fail fast — their
+/// misses take the serial path afterwards).
 #[allow(clippy::too_many_arguments)]
 fn route_net_tree(
     dev: &Device,
@@ -752,165 +757,62 @@ fn route_net_tree(
     retry_unbounded: Option<&Counter>,
     scratch: &mut MazeScratch,
     obs: &Recorder,
-) -> RouteAttempt {
-    // High-fanout nets go through the best-of-two Steiner builder, with
-    // every leg priced by the same congestion snapshot.
-    if let Some((crits, fanout)) = timing {
+) -> Option<SteinerTree> {
+    let (crits, fanout) = timing.unwrap_or((&[], usize::MAX));
+    let build = |mc: &MazeConfig, scratch: &mut MazeScratch| {
+        // Overuse is allowed; congestion is priced.
+        let mut cost = |seg| cong.cost(space.index(seg), pres_fac);
         if prep.sinks.len() >= fanout {
-            let mut mc = maze_cfg.clone();
-            mc.bbox = bbox;
-            let mut tree = steiner::build_tree_obs(
+            steiner::build_tree_obs(
                 dev,
                 prep.src,
                 &prep.sinks,
                 crits,
-                &mc,
-                |_| false, // overuse allowed; congestion is priced
-                |seg| cong.cost(space.index(seg), pres_fac),
-                scratch,
-                obs,
-            );
-            if tree.is_none() && mc.bbox.is_some() {
-                if let Some(ctr) = retry_unbounded {
-                    ctr.inc();
-                    mc.bbox = None;
-                    tree = steiner::build_tree_obs(
-                        dev,
-                        prep.src,
-                        &prep.sinks,
-                        crits,
-                        &mc,
-                        |_| false,
-                        |seg| cong.cost(space.index(seg), pres_fac),
-                        scratch,
-                        obs,
-                    );
-                } else {
-                    return (None, 0);
-                }
-            }
-            return match tree {
-                Some(t) => (Some((t.pips, t.segments, t.sink_delays)), t.nodes_expanded),
-                None => (None, 0),
-            };
-        }
-    }
-    let crits: &[u32] = timing.map(|(c, _)| c).unwrap_or(&[]);
-    let timing_on = timing.is_some();
-    let mut mc = maze_cfg.clone();
-    let mut bbox = bbox;
-    let mut pips = Vec::new();
-    let mut segments = Vec::new();
-    let mut sink_delays = if timing_on {
-        vec![0u64; prep.sinks.len()]
-    } else {
-        Vec::new()
-    };
-    // The growing tree: start segments plus their arrival times. With
-    // timing off every start cost is zero and arrivals are not tracked —
-    // exactly the original loop.
-    let mut starts = vec![(prep.src, 0u32)];
-    let mut tree_ps: Vec<u64> = vec![0];
-    let mut arrivals: HashMap<Segment, u64> = HashMap::new();
-    if timing_on {
-        arrivals.insert(prep.src, 0);
-    }
-    let mut nodes = 0usize;
-    for (s_idx, &goal) in prep.sinks.iter().enumerate() {
-        let crit = crits.get(s_idx).copied().unwrap_or(0).min(CRIT_ONE);
-        mc.crit = crit;
-        mc.bbox = bbox;
-        if timing_on {
-            // Re-price the tree starts for this sink's criticality.
-            for (k, s) in starts.iter_mut().enumerate() {
-                s.1 = steiner::start_cost(crit, tree_ps[k]);
-            }
-        }
-        let mut result = maze::search_obs(
-            dev,
-            &starts,
-            goal,
-            &mc,
-            |_| false, // overuse allowed; congestion is priced
-            |seg| cong.cost(space.index(seg), pres_fac),
-            scratch,
-            obs,
-        );
-        if result.is_none() && mc.bbox.is_some() {
-            let Some(ctr) = retry_unbounded else {
-                return (None, nodes);
-            };
-            // Region too tight for this sink — fall back to the whole
-            // device for this and every later sink.
-            ctr.inc();
-            bbox = None;
-            mc.bbox = None;
-            result = maze::search_obs(
-                dev,
-                &starts,
-                goal,
-                &mc,
+                mc,
                 |_| false,
-                |seg| cong.cost(space.index(seg), pres_fac),
+                &mut cost,
                 scratch,
                 obs,
-            );
-        }
-        let Some(mut r) = result else {
-            return (None, nodes);
-        };
-        nodes += r.nodes_expanded;
-        if timing_on {
-            if r.segments.is_empty() {
-                // The goal was already on the tree (duplicate sink).
-                sink_delays[s_idx] = arrivals.get(&goal).copied().unwrap_or(0);
-                continue;
-            }
-            // With crit-scaled start costs a search can undercut a tree
-            // start and route through it; drop the redundant prefix so
-            // the tree never double-drives its own wiring.
-            let graft = steiner::trim_reentry(&arrivals, &mut r).or_else(|| {
-                r.pips
-                    .first()
-                    .and_then(|&(rc, pip)| dev.canonicalize(rc, pip.from))
-            });
-            let mut at = graft.and_then(|g| arrivals.get(&g).copied()).unwrap_or(0);
-            for seg in &r.segments {
-                at += PIP_DELAY_PS + wire_delay_ps(seg.wire);
-                arrivals.insert(*seg, at);
-                starts.push((*seg, 0));
-                tree_ps.push(at);
-                segments.push(*seg);
-            }
-            sink_delays[s_idx] = at;
+            )
         } else {
-            for seg in &r.segments {
-                starts.push((*seg, 0));
-                tree_ps.push(0);
-                segments.push(*seg);
-            }
+            let order: Vec<usize> = (0..prep.sinks.len()).collect();
+            steiner::grow(
+                dev,
+                prep.src,
+                &prep.sinks,
+                crits,
+                &order,
+                mc,
+                |_| false,
+                &mut cost,
+                scratch,
+                obs,
+            )
         }
-        pips.extend_from_slice(&r.pips);
+    };
+    let mut mc = MazeConfig {
+        bbox,
+        ..maze_cfg.clone()
+    };
+    let tree = build(&mc, scratch);
+    if tree.is_some() || mc.bbox.is_none() {
+        return tree;
     }
-    (Some((pips, segments, sink_delays)), nodes)
+    // The region is too tight for this net: search the whole device so
+    // bounding can slow a route down but never lose one.
+    retry_unbounded?.inc();
+    mc.bbox = None;
+    build(&mc, scratch)
 }
-
-/// Result of [`route_net_tree`]: the built `(pips, segments,
-/// sink_delays)` when every sink was reached, plus nodes expanded.
-type RouteAttempt = (Option<(Vec<(RowCol, Pip)>, Vec<Segment>, Vec<u64>)>, usize);
 
 /// Program a legal PathFinder result into a bitstream.
 ///
-/// Returns an error if the result is not legal (overuse would configure
-/// contention).
+/// Returns [`RouteError::IllegalResult`] if the result is not legal
+/// (overuse would configure contention).
 pub fn apply(result: &PathFinderResult, bits: &mut Bitstream) -> Result<()> {
     if !result.legal {
-        return Err(RouteError::Contention {
-            segment: Segment {
-                rc: RowCol::new(0, 0),
-                wire: virtex::Wire(0),
-            },
-            owner: None,
+        return Err(RouteError::IllegalResult {
+            overused: result.overused,
         });
     }
     for net in &result.nets {
@@ -1076,6 +978,27 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_sink_shares_its_first_branch() {
+        let dev = dev();
+        let sink = Pin::new(6, 9, wire::S0_F3);
+        let specs = vec![NetSpec::new(
+            Pin::new(4, 4, wire::S1_YQ),
+            vec![sink, Pin::new(7, 5, wire::S1_F1), sink],
+        )];
+        for cfg in [
+            PathFinderConfig::default(),
+            PathFinderConfig::timing_driven(),
+        ] {
+            let r = route_all(&dev, &specs, &cfg).unwrap();
+            assert!(r.legal, "a repeated sink is not a second driver");
+            let net = &r.nets[0];
+            let sink_seg = dev.canonicalize(sink.rc, sink.wire).unwrap();
+            assert_eq!(net.segments.iter().filter(|&&s| s == sink_seg).count(), 1);
+            assert_eq!(net.sink_delays[0], net.sink_delays[2]);
+        }
+    }
+
+    #[test]
     fn illegal_results_refuse_to_apply() {
         let dev = dev();
         let r = PathFinderResult {
@@ -1086,6 +1009,9 @@ mod tests {
             overused: 1,
         };
         let mut bits = Bitstream::new(&dev);
-        assert!(apply(&r, &mut bits).is_err());
+        assert_eq!(
+            apply(&r, &mut bits),
+            Err(RouteError::IllegalResult { overused: 1 })
+        );
     }
 }

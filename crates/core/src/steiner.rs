@@ -14,17 +14,23 @@
 //!
 //! Because neither insertion order dominates on every instance, the
 //! builder runs both — the caller's greedy order and nearest-to-tree —
-//! and commits the cheaper tree. The greedy arm replicates
-//! `Router::route_fanout` exactly (same order, same zero-cost tree
-//! starts when criticality is zero), which gives a structural guarantee
-//! the benches assert: the returned tree's weighted wirelength never
+//! and commits the cheaper tree. The greedy arm is the paper's loop
+//! itself: every leg starts from the whole tree built so far, at zero
+//! cost when criticality is zero. That gives a structural guarantee the
+//! benches assert: the returned tree's weighted wirelength never
 //! exceeds the greedy path-reuse tree's on the same instance.
 //!
-//! The builder is a pure function of its inputs (device, congestion
-//! snapshot, criticalities): it allocates its scratch from the caller
-//! (`ScratchPool`-leased in the partition-parallel waves) and performs
-//! no global mutation, so it composes with the PR 8 wave engine and
-//! stays bit-identical across worker counts.
+//! The greedy arm (`grow` in input order) is also how PathFinder
+//! builds every net below its Steiner fan-out
+//! ([`TimingConfig::steiner_fanout`](crate::pathfinder::TimingConfig::steiner_fanout)),
+//! timing-driven or not, so negotiation has one tree grower. Nets at or
+//! above the fan-out take the best-of-two [`build_tree_obs`].
+//!
+//! Both are pure functions of their inputs (device, congestion
+//! snapshot, criticalities): they take their scratch from the caller
+//! (`ScratchPool`-leased in the partition-parallel waves) and perform
+//! no global mutation, so they compose with the wave dispatcher and
+//! stay bit-identical across worker counts.
 
 use crate::maze::{self, blend, MazeConfig, MazeResult, MazeScratch, CRIT_ONE};
 use jbits::Pip;
@@ -61,23 +67,11 @@ pub struct SteinerTree {
     pub reuse_hits: usize,
 }
 
-/// One grown arm (candidate tree) before arm selection.
-struct Arm {
-    pips: Vec<(RowCol, Pip)>,
-    segments: Vec<Segment>,
-    sink_delays: Vec<u64>,
-    cost: u32,
-    wirelength: u32,
-    nodes_expanded: usize,
-    branches: usize,
-    reuse_hits: usize,
-}
-
 /// Crit-scaled initial cost of a tree start: an arrival of `ps` weighs
 /// `crit · delay_units(ps)` in the blended cost space (zero when
 /// criticality is zero — the paper's plain zero-cost tree reuse).
 #[inline]
-pub(crate) fn start_cost(crit: u32, ps: u64) -> u32 {
+fn start_cost(crit: u32, ps: u64) -> u32 {
     blend(crit.min(CRIT_ONE), 0, ps_to_units(ps))
 }
 
@@ -88,10 +82,7 @@ pub(crate) fn start_cost(crit: u32, ps: u64) -> u32 {
 /// double-drive wiring the tree already drives. Returns the graft
 /// segment the kept suffix branches from, or `None` if the leg begins
 /// at a start marker (graft = the start itself).
-pub(crate) fn trim_reentry(
-    arrivals: &HashMap<Segment, u64>,
-    r: &mut MazeResult,
-) -> Option<Segment> {
+fn trim_reentry(arrivals: &HashMap<Segment, u64>, r: &mut MazeResult) -> Option<Segment> {
     let last = r
         .segments
         .iter()
@@ -106,22 +97,25 @@ pub(crate) fn trim_reentry(
     }
 }
 
-/// Grow one tree in the given `order` of goal indices. Returns `None`
-/// if any leg is unroutable under `cfg` (callers retry unbounded or
-/// report the miss, exactly like single-sink routing).
+/// Grow one tree in the given `order` of goal indices: the paper's
+/// path-reuse loop, where every leg starts from the whole tree built so
+/// far. In input order this is the greedy arm of [`build_tree_obs`] and
+/// the builder of every PathFinder net below the Steiner fan-out.
+/// Returns `None` if any leg is unroutable under `cfg` (callers retry
+/// unbounded or report the miss, exactly like single-sink routing).
 #[allow(clippy::too_many_arguments)]
-fn grow(
+pub(crate) fn grow(
     dev: &Device,
     src: Segment,
     goals: &[Segment],
     crits: &[u32],
     order: &[usize],
     cfg: &MazeConfig,
-    blocked: &mut dyn FnMut(Segment) -> bool,
-    extra_cost: &mut dyn FnMut(Segment) -> u32,
+    mut blocked: impl FnMut(Segment) -> bool,
+    mut extra_cost: impl FnMut(Segment) -> u32,
     scratch: &mut MazeScratch,
     obs: &Recorder,
-) -> Option<Arm> {
+) -> Option<SteinerTree> {
     let la = dev.lookahead();
     let mut arrivals: HashMap<Segment, u64> = HashMap::new();
     arrivals.insert(src, 0);
@@ -129,13 +123,14 @@ fn grow(
     // every leg. Deterministic order keeps Dial-queue tie-breaking — and
     // therefore results — independent of map iteration.
     let mut tree: Vec<(Segment, u64)> = vec![(src, 0)];
-    let mut arm = Arm {
+    let mut arm = SteinerTree {
         pips: Vec::new(),
         segments: Vec::new(),
         sink_delays: vec![0; goals.len()],
         cost: 0,
         wirelength: 0,
         nodes_expanded: 0,
+        steiner_won: false,
         branches: 0,
         reuse_hits: 0,
     };
@@ -154,8 +149,8 @@ fn grow(
             &starts,
             goals[i],
             &leg_cfg,
-            &mut *blocked,
-            &mut *extra_cost,
+            &mut blocked,
+            &mut extra_cost,
             scratch,
             obs,
         )?;
@@ -182,6 +177,7 @@ fn grow(
             at += PIP_DELAY_PS + wire_delay_ps(seg.wire);
             arm.wirelength += la.model().wire_cost(seg.wire);
             arrivals.insert(seg, at);
+            // A CLB input is a dead end: no later leg can start there.
             if !seg.wire.is_clb_input() {
                 tree.push((seg, at));
             }
@@ -282,28 +278,21 @@ pub fn build_tree_obs(
     let total_nodes = greedy.nodes_expanded + steiner.as_ref().map_or(0, |s| s.nodes_expanded);
     // Strict improvement only: on a tie the paper's greedy tree stands.
     let steiner_won = steiner.as_ref().is_some_and(|s| s.cost < greedy.cost);
-    let arm = if steiner_won {
+    let mut tree = if steiner_won {
         steiner.expect("won arm exists")
     } else {
         greedy
     };
+    tree.nodes_expanded = total_nodes;
+    tree.steiner_won = steiner_won;
     obs.counter("steiner.builds").inc();
     if steiner_won {
         obs.counter("steiner.wins").inc();
     }
-    obs.counter("steiner.branches").add(arm.branches as u64);
-    obs.counter("steiner.reuse_hits").add(arm.reuse_hits as u64);
-    Some(SteinerTree {
-        pips: arm.pips,
-        segments: arm.segments,
-        sink_delays: arm.sink_delays,
-        cost: arm.cost,
-        wirelength: arm.wirelength,
-        nodes_expanded: total_nodes,
-        steiner_won,
-        branches: arm.branches,
-        reuse_hits: arm.reuse_hits,
-    })
+    obs.counter("steiner.branches").add(tree.branches as u64);
+    obs.counter("steiner.reuse_hits")
+        .add(tree.reuse_hits as u64);
+    Some(tree)
 }
 
 #[cfg(test)]
@@ -379,8 +368,8 @@ mod tests {
             &[],
             &(0..sinks.len()).collect::<Vec<_>>(),
             &MazeConfig::default(),
-            &mut |_| false,
-            &mut |_| 0,
+            |_| false,
+            |_| 0,
             &mut scratch,
             &Recorder::disabled(),
         )

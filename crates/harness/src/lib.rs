@@ -7,7 +7,7 @@
 //!   case gets a fresh [`detrand::DetRng`]; on failure the case's seed is
 //!   printed so it can be replayed with `HARNESS_SEED=<seed>
 //!   HARNESS_CASES=1`.
-//! * [`bench`] — a warmup + median-of-N microbench timer replacing
+//! * [`bench`](mod@bench) — a warmup + median-of-N microbench timer replacing
 //!   `criterion`, with the same call shape (`bench_group!`,
 //!   `bench_main!`, `Bench`, `Bencher`, `BatchSize`) and machine-readable
 //!   `BENCH_<name>.json` output under `target/bench-json/`.

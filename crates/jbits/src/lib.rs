@@ -1,7 +1,7 @@
 //! # jbits — a JBits-class configuration substrate for the simulated
 //! Virtex device
 //!
-//! JBits [1] is the bit-level Java interface to Xilinx configuration
+//! JBits \[1\] is the bit-level Java interface to Xilinx configuration
 //! bitstreams on which JRoute is built: it can set and read individual
 //! configuration bits but performs no routing, no contention checking and
 //! no net bookkeeping. This crate plays exactly that role for the
@@ -11,7 +11,7 @@
 //!   physical-existence validation only;
 //! * [`frame`] — column-granular configuration frames, the cost unit of
 //!   partial run-time reconfiguration;
-//! * [`readback`] — snapshots and diffs (the BoardScope [2] substrate).
+//! * [`readback`] — snapshots and diffs (the BoardScope \[2\] substrate).
 //!
 //! Everything above this layer (auto-routing, ports, unrouting,
 //! contention protection) lives in the `jroute` crate.

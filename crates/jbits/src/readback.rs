@@ -1,6 +1,6 @@
 //! Readback: snapshotting a live configuration and diffing snapshots.
 //!
-//! BoardScope [2] reads the configuration back from hardware to display
+//! BoardScope \[2\] reads the configuration back from hardware to display
 //! circuit state; our equivalent captures the simulated configuration.
 //! Diffs are the basis of debugging (what changed?) and of verifying that
 //! an unroute returned the device to its prior state.

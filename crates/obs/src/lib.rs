@@ -475,7 +475,7 @@ impl Recorder {
     /// final partial chunk of a run). Returns `true` only if the whole
     /// chunk was written and flushed; `false` without a sink, on an
     /// empty buffer, on a disabled recorder, or on any write error
-    /// (including partial writes — see [`Collector::flush_spans`]).
+    /// (including partial writes — see `Collector::flush_spans`).
     pub fn flush_spans(&self) -> bool {
         match &self.inner {
             None => false,

@@ -1,6 +1,6 @@
 //! Windowed aggregation: rolling time-series over registry metrics.
 //!
-//! A [`Report`] answers "what happened over the whole run"; operations
+//! A [`Report`](crate::Report) answers "what happened over the whole run"; operations
 //! questions are about *now* and *lately* — is queue depth climbing, did
 //! batch-latency p99 spike after that replace storm, what is the wave
 //! rate this window. The [`Aggregator`] tracks a set of registry handles

@@ -111,7 +111,6 @@ pub struct RoutingService<'d> {
     /// `Unroute`/`Replace`.
     committed: HashMap<RequestId, Vec<NetId>>,
     next_id: RequestId,
-    next_seq: u64,
     /// Maze scratch kept across batches, so a batch allocates none.
     pool: ScratchPool,
     obs: Recorder,
@@ -285,7 +284,6 @@ impl<'d> RoutingService<'d> {
             pending: VecDeque::new(),
             committed: HashMap::new(),
             next_id: 0,
-            next_seq: 0,
             pool: ScratchPool::new(),
             obs,
             meters,
@@ -369,22 +367,6 @@ impl<'d> RoutingService<'d> {
         priority: u8,
         deadline: Option<Deadline>,
     ) -> Result<(RequestId, CancelToken), QueueFull> {
-        let cancel = Arc::new(AtomicBool::new(false));
-        self.submit_injected(kind, priority, deadline, Arc::clone(&cancel))
-            .map(|id| (id, CancelToken(cancel)))
-    }
-
-    /// Submission with a caller-supplied cancellation flag — the server
-    /// front-end mints the flag at admission time (so a request can be
-    /// cancelled while still in the server's queue, before it ever
-    /// reaches this service) and injects it here when the batch forms.
-    pub(crate) fn submit_injected(
-        &mut self,
-        kind: RequestKind,
-        priority: u8,
-        deadline: Option<Deadline>,
-        cancel: Arc<AtomicBool>,
-    ) -> Result<RequestId, QueueFull> {
         if self.pending.len() >= self.cfg.queue_capacity {
             return Err(QueueFull {
                 capacity: self.cfg.queue_capacity,
@@ -392,25 +374,39 @@ impl<'d> RoutingService<'d> {
         }
         let id = self.next_id;
         self.next_id += 1;
-        // Mint the request's causal root here, at submission: everything
-        // the request causes — its search on whichever worker, a commit
-        // re-search, every maze search — links back to this span's trace
-        // id.
+        let cancel = Arc::new(AtomicBool::new(false));
+        let req = self.request(id, kind, priority, deadline, Arc::clone(&cancel));
+        self.pending.push_back(req);
+        self.meters.queue_depths.record(self.pending.len() as u64);
+        self.meters.queue_depth.set(self.pending.len() as u64);
+        Ok((id, CancelToken(cancel)))
+    }
+
+    /// A request with the given id and cancellation flag. The server
+    /// front-end calls this at batch time with the admission id and the
+    /// flag it minted at admission (so a request can be cancelled while
+    /// still in the server's queue).
+    pub(crate) fn request(
+        &self,
+        id: RequestId,
+        kind: RequestKind,
+        priority: u8,
+        deadline: Option<Deadline>,
+        cancel: Arc<AtomicBool>,
+    ) -> Request {
+        // Mint the request's causal root here: everything the request
+        // causes — its search on whichever worker, a commit re-search,
+        // every maze search — links back to this span's trace id.
         let mut root = self.obs.span_root("svc.request");
         root.note(id);
-        self.pending.push_back(Request {
+        Request {
             id,
             priority,
             deadline,
             kind,
-            seq: self.next_seq,
             cancel,
             ctx: root.ctx(),
-        });
-        self.next_seq += 1;
-        self.meters.queue_depths.record(self.pending.len() as u64);
-        self.meters.queue_depth.set(self.pending.len() as u64);
-        Ok(id)
+        }
     }
 
     /// Cancellation token for a queued request (e.g. when the id came
@@ -424,21 +420,28 @@ impl<'d> RoutingService<'d> {
 
     /// Drain the queue and execute everything as one batch.
     ///
-    /// Requests commit one at a time in priority order (ties by
-    /// submission order), each against the state every earlier request
-    /// left; their searches run ahead in parallel waves
+    /// Requests commit one at a time in priority order (ties by request
+    /// id, which is submission order), each against the state every
+    /// earlier request left; their searches run ahead in parallel waves
     /// ([`jroute::parallel::Engine`]). Successful requests change the
     /// database, everything else leaves no trace. The report carries one
     /// terminal outcome per drained request plus the commit log.
     pub fn run_batch(&mut self) -> BatchReport {
+        // The gauge keeps the pre-drain depth until after the window
+        // tick, so each sample reports the depth this batch consumed.
+        let requests = self.pending.drain(..).collect();
+        self.run(requests)
+    }
+
+    /// Execute `requests` as one batch, as [`RoutingService::run_batch`]
+    /// describes. Their ids must be distinct; `Unroute`/`Replace`
+    /// victims name ids of earlier batches.
+    pub(crate) fn run(&mut self, mut requests: Vec<Request>) -> BatchReport {
         let mut span = self.obs.span_root("svc.batch");
         let batch_started = self.obs.elapsed_ns();
         let started = Instant::now();
-        // The gauge keeps the pre-drain depth until after the window
-        // tick, so each sample reports the depth this batch consumed.
-        let mut requests: Vec<Request> = self.pending.drain(..).collect();
         span.note(requests.len() as u64);
-        requests.sort_by_key(|r| (r.priority, r.seq));
+        requests.sort_by_key(|r| (r.priority, r.id));
         if requests.is_empty() {
             return BatchReport {
                 outcomes: Vec::new(),

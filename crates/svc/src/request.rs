@@ -7,10 +7,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Service-assigned request identifier, unique for the life of one
-/// [`RoutingService`](crate::RoutingService). `Unroute`/`Replace`
-/// requests name their victims by the id of the request that routed
-/// them.
+/// Request identifier, unique for the life of one
+/// [`RoutingService`](crate::RoutingService): assigned by its `submit`,
+/// or the tenant's admission id ([`Ticket::id`](crate::Ticket::id)) when
+/// the server runs it. `Unroute`/`Replace` requests name their victims
+/// by the id of the request that routed them.
 pub type RequestId = u64;
 
 /// Tenant identifier in the multi-tenant server front-end
@@ -58,7 +59,9 @@ pub enum Deadline {
 /// One queued request.
 #[derive(Debug, Clone)]
 pub struct Request {
-    /// Service-assigned id.
+    /// Request id: service-assigned, or the admission id when the
+    /// server front-end runs the batch. The tiebreak within a priority
+    /// class.
     pub id: RequestId,
     /// Scheduling priority; lower values run earlier (0 = most urgent).
     pub priority: u8,
@@ -66,8 +69,6 @@ pub struct Request {
     pub deadline: Option<Deadline>,
     /// The operation.
     pub kind: RequestKind,
-    /// Submission order, the tiebreak within a priority class.
-    pub(crate) seq: u64,
     /// Shared cancellation flag (see [`CancelToken`]).
     pub(crate) cancel: Arc<AtomicBool>,
     /// Causal trace context minted at submission (the `svc.request` root

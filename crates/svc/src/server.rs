@@ -16,7 +16,7 @@
 //! * **tenancy** — each tenant owns a `Bitstream`-backed device and a
 //!   [`NetDb`](jroute::NetDb) shard behind its own [`RoutingService`];
 //!   executors share the machine through a
-//!   [`ThreadBudget`](jroute::schedule::ThreadBudget) so the sum of
+//!   [`ThreadBudget`] so the sum of
 //!   concurrently routing workers respects [`ServerConfig::threads`];
 //! * **admission control** — a bounded per-tenant gate rejects
 //!   [`QueueFull`] synchronously at `submit`, the depth draining as
@@ -40,16 +40,13 @@
 //! admissions for that tenant answer `Poisoned` immediately, and every
 //! other tenant keeps serving.
 
-use crate::request::{
-    Deadline, QueueFull, Reject, RequestId, RequestKind, RequestOutcome, TenantId,
-};
+use crate::request::{Deadline, QueueFull, RequestKind, RequestOutcome, TenantId};
 use crate::trace::{Trace, TraceError, TraceOp};
-use crate::{targets, CancelToken, RoutingService, ServiceConfig};
+use crate::{CancelToken, RoutingService, ServiceConfig};
 use jroute::maze::MazeConfig;
 use jroute::schedule::ThreadBudget;
 use jroute::NetId;
 use jroute_obs::{labeled, Aggregator, Counter, Gauge, Histo, Recorder};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -130,8 +127,8 @@ pub fn tenant_service_config(cfg: &ServerConfig) -> ServiceConfig {
     ServiceConfig {
         threads: cfg.tenant_threads.max(1),
         maze: cfg.maze.clone(),
-        // A cut batch is fed to the service whole, so the service queue
-        // must hold at least one full batch.
+        // A standalone replay (`Trace::replay`) submits a whole batch to
+        // the service queue, so the queue must hold at least one.
         queue_capacity: cfg.queue_capacity.max(cfg.batch_max).max(1),
         audit: cfg.audit,
     }
@@ -367,8 +364,8 @@ impl ServerClient {
 // Reports
 // ----------------------------------------------------------------------
 
-/// One completion in a tenant's replayable log, in server terms: the
-/// admission id (not the internal service [`RequestId`]).
+/// One completion in a tenant's replayable log: the admission id
+/// ([`Ticket::id`]) of the request decided at this step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerLogEntry {
     /// 0-based batch index within the tenant.
@@ -398,7 +395,8 @@ pub struct TenantReport {
     /// Summed audit disagreements across batches (`Some(0)` = clean;
     /// `None` when audits were off).
     pub leaked_segments: Option<usize>,
-    /// Final `(segment, net)` census of the tenant's [`NetDb`] shard.
+    /// Final `(segment, net)` census of the tenant's
+    /// [`NetDb`](jroute::NetDb) shard.
     pub census: Vec<(Segment, NetId)>,
 }
 
@@ -565,9 +563,9 @@ fn next_batch(rx: &Receiver<Msg>, max: usize, mode: ExecMode) -> Option<Vec<Subm
 }
 
 /// One tenant's executor: pulls the tenant's batches, owns its
-/// [`RoutingService`] (and therefore its `NetDb` shard), translates
-/// admission ids to service request ids, and contains faults to the
-/// batch that raised them.
+/// [`RoutingService`] (and therefore its `NetDb` shard), runs each batch
+/// under the requests' admission ids, and contains faults to the batch
+/// that raised them.
 fn executor_loop(
     tenant: TenantId,
     dev: &Device,
@@ -587,7 +585,6 @@ fn executor_loop(
         batches: obs.counter(&labeled("svc.server.batches", "tenant", tenant)),
         request_ns: obs.histogram(&labeled("svc.server.request_ns", "tenant", tenant)),
     };
-    let mut seq_to_req: HashMap<u64, RequestId> = HashMap::new();
     let mut outcomes: Vec<(u64, ServerOutcome)> = Vec::new();
     let mut log: Vec<ServerLogEntry> = Vec::new();
     let mut leaked: Option<usize> = cfg.audit.then_some(0);
@@ -621,47 +618,39 @@ fn executor_loop(
         let lease = budget.lease(cfg.tenant_threads.max(1));
         svc.set_threads(lease.granted());
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            // Per request: its service id and the service ids its
-            // victims were sent as.
-            let mut sent = Vec::with_capacity(batch.len());
-            for sub in &batch {
-                if let Some((ft, fs)) = cfg.fault.panic_on {
-                    if ft == tenant && fs == sub.seq {
-                        panic!("injected fault: tenant {ft} admission {fs}");
+            let requests = batch
+                .iter()
+                .map(|sub| {
+                    if let Some((ft, fs)) = cfg.fault.panic_on {
+                        if ft == tenant && fs == sub.seq {
+                            panic!("injected fault: tenant {ft} admission {fs}");
+                        }
                     }
-                }
-                let kind = translate(&sub.kind, &seq_to_req);
-                let victims = targets(&kind).to_vec();
-                let id = svc
-                    .submit_injected(kind, sub.priority, sub.deadline, Arc::clone(&sub.cancel))
-                    .expect("a cut batch fits the tenant service queue");
-                sent.push((id, victims));
-            }
-            let report = svc.run_batch();
-            (sent, report)
+                    svc.request(
+                        sub.seq,
+                        sub.kind.clone(),
+                        sub.priority,
+                        sub.deadline,
+                        Arc::clone(&sub.cancel),
+                    )
+                })
+                .collect();
+            svc.run(requests)
         }));
         drop(lease);
         match ran {
-            Ok((sent, report)) => {
-                let req_to_seq: HashMap<RequestId, u64> = sent
-                    .iter()
-                    .zip(&batch)
-                    .map(|(&(id, _), sub)| (id, sub.seq))
-                    .collect();
-                for entry in &report.log {
-                    log.push(ServerLogEntry {
-                        batch: batch_idx,
-                        step: entry.step,
-                        seq: req_to_seq[&entry.request],
-                    });
-                }
+            Ok(report) => {
+                log.extend(report.log.iter().map(|entry| ServerLogEntry {
+                    batch: batch_idx,
+                    step: entry.step,
+                    seq: entry.request,
+                }));
                 if let (Some(total), Some(found)) = (leaked.as_mut(), report.leaked_segments) {
                     *total += found;
                 }
-                for (sub, (id, victims)) in batch.iter().zip(&sent) {
-                    seq_to_req.insert(sub.seq, *id);
+                for sub in &batch {
                     let outcome = report
-                        .outcome(*id)
+                        .outcome(sub.seq)
                         .expect("one outcome per drained request")
                         .clone();
                     finish(
@@ -669,7 +658,7 @@ fn executor_loop(
                         &meters,
                         obs,
                         sub,
-                        ServerOutcome::Done(as_named(outcome, &sub.kind, victims)),
+                        ServerOutcome::Done(outcome),
                         &mut outcomes,
                     );
                 }
@@ -723,40 +712,6 @@ fn finish(
         .record(obs.elapsed_ns().saturating_sub(sub.submitted_ns));
     outcomes.push((sub.seq, outcome.clone()));
     sub.ticket.fulfill(outcome);
-}
-
-/// Translate a client kind (victims = admission ids) into a service kind
-/// (victims = the tenant service's request ids). An admission id that is
-/// unknown, or still in the same batch, maps to a reserved never-issued
-/// request id, so the service rejects it as `UnknownTarget` — the same
-/// terminal path as a stale victim.
-fn translate(kind: &RequestKind, seq_to_req: &HashMap<u64, RequestId>) -> RequestKind {
-    let lookup = |seq: &u64| seq_to_req.get(seq).copied().unwrap_or(u64::MAX);
-    match kind {
-        RequestKind::Route(spec) => RequestKind::Route(spec.clone()),
-        RequestKind::Unroute(seq) => RequestKind::Unroute(lookup(seq)),
-        RequestKind::Replace { remove, add } => RequestKind::Replace {
-            remove: remove.iter().map(lookup).collect(),
-            add: add.clone(),
-        },
-    }
-}
-
-/// Name a rejected victim by the admission id the client gave, not by
-/// the service id it was `sent` as. The service reports the first victim
-/// it refuses, so the first position holding that service id is the
-/// victim the client named there.
-fn as_named(outcome: RequestOutcome, asked: &RequestKind, sent: &[RequestId]) -> RequestOutcome {
-    match outcome {
-        RequestOutcome::Rejected(Reject::UnknownTarget(id)) => {
-            let at = sent
-                .iter()
-                .position(|&v| v == id)
-                .expect("the service refuses only victims it was sent");
-            RequestOutcome::Rejected(Reject::UnknownTarget(targets(asked)[at]))
-        }
-        other => other,
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -843,6 +798,7 @@ pub fn replay_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Reject;
     use jroute::pathfinder::NetSpec;
     use jroute::Pin;
     use virtex::{wire, Device, Family};

@@ -16,7 +16,7 @@ use crate::analysis::NetTiming;
 use jroute::maze::CRIT_ONE;
 
 /// Dense per-net, per-sink criticality table built from
-/// [`NetTiming`](crate::analysis::NetTiming) results.
+/// [`NetTiming`] results.
 ///
 /// ```
 /// use jroute_timing::{analyze_net, CriticalityTable};

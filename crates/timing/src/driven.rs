@@ -1,7 +1,7 @@
 //! A timing-driven fan-out router.
 //!
 //! The paper concedes its greedy fan-out router *"is not timing driven
-//! [and] is suitable only for non-critical nets. For critical nets,
+//! \[and\] is suitable only for non-critical nets. For critical nets,
 //! however, the user would need to specify the routes at a lower level"*
 //! (§3.1). This module closes that gap one level up: instead of forcing
 //! users down to manual paths, it grows the net as a timing-driven tree —

@@ -1,6 +1,6 @@
 //! # vsim — device-level functional simulation of the configured fabric
 //!
-//! BoardScope [2] debugs run-time-reconfigured designs by reading state
+//! BoardScope \[2\] debugs run-time-reconfigured designs by reading state
 //! back from live hardware. We have no hardware, so this crate supplies
 //! the equivalent substrate: given a [`jbits::Bitstream`], it extracts
 //! the logic netlist (who drives which CLB input, traced through the

@@ -22,7 +22,7 @@
 //! steps is N `Ok` results.
 //!
 //! Every submission is simultaneously recorded into a
-//! [`Trace`](jroute_svc::Trace), so a finished soak can be replayed
+//! [`Trace`], so a finished soak can be replayed
 //! into a *fresh* deterministic service and the two censuses compared —
 //! the strongest end-to-end check the scenario corpus has (and the
 //! `e16_scenarios` fixture source).

@@ -17,6 +17,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (deny warnings: broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --keep-going
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
