@@ -62,13 +62,10 @@ fn table() {
             "{:<8} | {:>9} {:>8} {:>6} | {:>9} {:>8} {:>6}",
             fanout, gm, gs, gp, tm, ts, tp
         );
-        // Strict dominance is not guaranteed (sinks claim resources in
-        // order), but the timing-driven variant must stay within a small
-        // factor of greedy's critical path while usually beating it.
-        assert!(
-            tm as f64 <= gm as f64 * 1.15,
-            "timing-driven {tm}ps much worse than greedy {gm}ps"
-        );
+        // Both routers are deterministic, so this row is the same on
+        // every run: the timing-driven tree must not lose on the
+        // critical path.
+        assert!(tm <= gm, "timing-driven {tm}ps worse than greedy {gm}ps");
     }
 }
 

@@ -1,25 +1,19 @@
-//! E20: criticality-driven negotiation + congestion-aware Steiner trees.
+//! E20: criticality-driven negotiation.
 //!
 //! The RWRoute-style recipe on top of the negotiated router: per-sink
 //! criticality blends a delay term into the PathFinder cost
-//! (`(1−crit)·congestion + crit·delay`), and nets above a fan-out
-//! threshold are built as best-of-two Steiner trees instead of the
-//! greedy nearest-first chain. Three claims are gated here:
+//! (`(1−crit)·congestion + crit·delay`). Two claims are gated here:
 //!
 //! 1. **Delay** — on an e13-style contended workload (XCV1000 and the
 //!    synthetic SUPER4), the criticality-driven run must converge with a
 //!    *strictly lower* critical-path delay than the pure-congestion run,
 //!    with zero routability loss (both legal, same nets routed).
-//! 2. **Wirelength** — on e3-style high-fanout nets, the Steiner builder
-//!    must never use more segments than the greedy tree (the greedy
-//!    order is one of its arms, so ≤ holds structurally).
-//! 3. **Determinism** — the criticality-driven engine stays bit-identical
+//! 2. **Determinism** — the criticality-driven engine stays bit-identical
 //!    across worker counts (`JROUTE_THREADS` override honoured).
 
 use detrand::DetRng;
 use harness::{bench_group, bench_main, BatchSize, Bench};
 use jroute::pathfinder::{self, NetSpec, PathFinderConfig, PathFinderResult};
-use jroute::{EndPoint, Router, RouterOptions};
 use jroute_bench::{thread_counts, SEED};
 use jroute_timing::analyze_net;
 use jroute_workloads::{fanout_spec, window_netlist};
@@ -31,8 +25,7 @@ fn dev() -> Device {
 
 /// e13-style timing workload: one contended window (forces negotiation,
 /// so criticality actually steers rip-up) plus high-fanout nets spread
-/// far apart (they cross the Steiner threshold and carry long arrival
-/// chains under greedy reuse).
+/// far apart (they carry long arrival chains under greedy reuse).
 fn workload(dev: &Device, hot: usize) -> Vec<NetSpec> {
     let mut rng = DetRng::seed_from_u64(SEED);
     let mut specs = window_netlist(dev, hot, 3, RowCol::new(32, 48), &mut rng);
@@ -66,27 +59,6 @@ fn critical_delay(dev: &Device, r: &PathFinderResult) -> u64 {
         })
         .max()
         .unwrap_or(0)
-}
-
-/// Route one e3-style high-fanout net and return segments used.
-fn fanout_wirelength(dev: &Device, fanout: usize, steiner: Option<usize>) -> usize {
-    let mut rng = DetRng::seed_from_u64(SEED);
-    let spec = fanout_spec(dev, RowCol::new(16, 24), fanout, 8, &mut rng);
-    let mut r = Router::with_options(
-        dev,
-        RouterOptions {
-            steiner_fanout: steiner,
-            ..Default::default()
-        },
-    );
-    let sinks: Vec<EndPoint> = spec.sinks.iter().map(|&p| p.into()).collect();
-    r.route_fanout(&spec.source.into(), &sinks).unwrap();
-    assert_eq!(
-        r.trace(&spec.source.into()).unwrap().sinks.len(),
-        spec.sinks.len(),
-        "every sink reached"
-    );
-    r.nets().used_segments()
 }
 
 /// Per-net (segments, sink delays) fingerprint for bit-identity checks.
@@ -131,28 +103,6 @@ fn table() {
             td < bd,
             "{}: criticality-driven delay {td}ps must strictly beat pure-congestion {bd}ps",
             fam.name()
-        );
-    }
-
-    eprintln!("\n=== E20: Steiner vs greedy fan-out wirelength (segments) ===");
-    eprintln!(
-        "{:<8} {:>8} {:>8} {:>8}",
-        "fanout", "greedy", "steiner", "saving"
-    );
-    let x300 = Device::new(Family::Xcv300);
-    for fanout in [8usize, 16, 32] {
-        let g = fanout_wirelength(&x300, fanout, None);
-        let s = fanout_wirelength(&x300, fanout, Some(6));
-        eprintln!(
-            "{:<8} {:>8} {:>8} {:>7.1}%",
-            fanout,
-            g,
-            s,
-            100.0 * (g as f64 - s as f64) / g as f64
-        );
-        assert!(
-            s <= g,
-            "fanout {fanout}: steiner used {s} segments, greedy {g}"
         );
     }
 
@@ -201,23 +151,6 @@ fn bench(c: &mut Bench) {
             BatchSize::PerIteration,
         )
     });
-    let x300 = Device::new(Family::Xcv300);
-    for fanout in [8usize, 32] {
-        g.bench_function(format!("steiner_fanout_{fanout}"), |b| {
-            b.iter_batched(
-                || (),
-                |_| fanout_wirelength(&x300, fanout, Some(6)),
-                BatchSize::SmallInput,
-            )
-        });
-        g.bench_function(format!("greedy_fanout_{fanout}"), |b| {
-            b.iter_batched(
-                || (),
-                |_| fanout_wirelength(&x300, fanout, None),
-                BatchSize::SmallInput,
-            )
-        });
-    }
     g.finish();
 }
 

@@ -204,8 +204,7 @@ impl NetSpec {
     }
 }
 
-/// Timing-driven negotiation knobs: RWRoute-style criticality blending
-/// plus congestion-aware Steiner trees for high-fanout nets.
+/// Timing-driven negotiation knobs: RWRoute-style criticality blending.
 ///
 /// Per-sink criticality is `(sink delay / critical delay) ^ crit_exp`,
 /// recomputed from the dense per-net delay cache that rides the dirty
@@ -221,10 +220,6 @@ pub struct TimingConfig {
     /// `CRIT_ONE` so even the critical path stays congestion-aware
     /// enough to converge.
     pub max_crit: u32,
-    /// Nets with at least this many sinks take the best-of-two
-    /// [`steiner::build_tree_obs`]; smaller nets grow the greedy
-    /// path-reuse tree alone, its first arm.
-    pub steiner_fanout: usize,
 }
 
 impl Default for TimingConfig {
@@ -232,7 +227,6 @@ impl Default for TimingConfig {
         TimingConfig {
             crit_exp: 2.0,
             max_crit: 232, // ≈ 0.91
-            steiner_fanout: 6,
         }
     }
 }
@@ -269,13 +263,11 @@ pub struct PathFinderConfig {
     /// wall clock, never results.
     pub threads: usize,
     /// Timing-driven negotiation. `None` (the default) prices searches
-    /// by congestion alone and grows every net greedily; `Some` folds
-    /// per-sink criticality into every search, runs one criticality
-    /// refinement pass after the first legal convergence, and sends
-    /// nets of [`TimingConfig::steiner_fanout`] sinks or more to the
-    /// best-of-two Steiner builder. The criticality table is frozen per
-    /// iteration before waves dispatch, so results stay bit-identical
-    /// across worker counts.
+    /// by congestion alone; `Some` folds per-sink criticality into every
+    /// search and runs one criticality refinement pass after the first
+    /// legal convergence. The criticality table is frozen per iteration
+    /// before waves dispatch, so results stay bit-identical across
+    /// worker counts.
     pub timing: Option<TimingConfig>,
 }
 
@@ -504,14 +496,7 @@ pub fn route_all_obs(
             }
             None => Vec::new(),
         };
-        let net_timing = |i: usize| -> Option<(&[u32], usize)> {
-            cfg.timing.as_ref().map(|t| {
-                (
-                    crits_iter.get(i).map(|v| v.as_slice()).unwrap_or(&[]),
-                    t.steiner_fanout,
-                )
-            })
-        };
+        let net_crits = |i: usize| crits_iter.get(i).map_or(&[][..], Vec::as_slice);
         let mut any_failure = false;
         // Nets left for the sequential cleanup pass below: every dirty
         // net when waves are off, else only the wave misses (whose
@@ -558,7 +543,7 @@ pub fn route_all_obs(
                             &cong,
                             pres_fac,
                             &prepared[dirty[k]],
-                            net_timing(dirty[k]),
+                            net_crits(dirty[k]),
                             Some(boxes[k]),
                             &cfg.maze,
                             None,
@@ -610,7 +595,7 @@ pub fn route_all_obs(
                 &cong,
                 pres_fac,
                 prep,
-                net_timing(i),
+                net_crits(i),
                 bbox,
                 &cfg.maze,
                 Some(&c_bbox_fallbacks),
@@ -736,14 +721,12 @@ fn compute_crits(routes: &[Option<RoutedNet>], tcfg: &TimingConfig) -> Vec<Vec<u
 /// Pure with respect to shared state — nothing is occupied or released
 /// here; the caller commits (at the wave barrier or inline).
 ///
-/// Every net grows the paper's path-reuse tree through [`steiner`]: the
-/// greedy arm in input order, or the best-of-two builder for nets of at
-/// least `steiner_fanout` sinks. `timing` carries this net's per-sink
-/// criticalities and that threshold; `None` is the pure-congestion cost
-/// with no Steiner dispatch. `retry_unbounded` selects the serial-pass
-/// semantics: a bounded miss counts a fallback and rebuilds the whole
-/// net over the device (wave workers pass `None` and fail fast — their
-/// misses take the serial path afterwards).
+/// Every net grows the paper's path-reuse tree through
+/// [`steiner::grow`]. `crits` holds this net's per-sink criticalities
+/// (empty for the pure-congestion cost). `retry_unbounded` selects the
+/// serial-pass semantics: a bounded miss counts a fallback and rebuilds
+/// the whole net over the device (wave workers pass `None` and fail
+/// fast — their misses take the serial path afterwards).
 #[allow(clippy::too_many_arguments)]
 fn route_net_tree(
     dev: &Device,
@@ -751,44 +734,27 @@ fn route_net_tree(
     cong: &Congestion,
     pres_fac: u32,
     prep: &PreparedNet,
-    timing: Option<(&[u32], usize)>,
+    crits: &[u32],
     bbox: Option<BBox>,
     maze_cfg: &MazeConfig,
     retry_unbounded: Option<&Counter>,
     scratch: &mut MazeScratch,
     obs: &Recorder,
 ) -> Option<SteinerTree> {
-    let (crits, fanout) = timing.unwrap_or((&[], usize::MAX));
     let build = |mc: &MazeConfig, scratch: &mut MazeScratch| {
-        // Overuse is allowed; congestion is priced.
-        let mut cost = |seg| cong.cost(space.index(seg), pres_fac);
-        if prep.sinks.len() >= fanout {
-            steiner::build_tree_obs(
-                dev,
-                prep.src,
-                &prep.sinks,
-                crits,
-                mc,
-                |_| false,
-                &mut cost,
-                scratch,
-                obs,
-            )
-        } else {
-            let order: Vec<usize> = (0..prep.sinks.len()).collect();
-            steiner::grow(
-                dev,
-                prep.src,
-                &prep.sinks,
-                crits,
-                &order,
-                mc,
-                |_| false,
-                &mut cost,
-                scratch,
-                obs,
-            )
-        }
+        steiner::grow(
+            dev,
+            &[(prep.src, 0)],
+            &prep.sinks,
+            crits,
+            mc,
+            |_| false,
+            // Overuse is allowed; congestion is priced.
+            |seg| cong.cost(space.index(seg), pres_fac),
+            scratch,
+            obs,
+        )
+        .ok()
     };
     let mut mc = MazeConfig {
         bbox,

@@ -27,7 +27,7 @@ mod template_match;
 
 use crate::endpoint::{EndPoint, Pin, PortId};
 use crate::error::{NetId, Result, RouteError};
-use crate::maze::{self, MazeConfig, MazeScratch};
+use crate::maze::{MazeConfig, MazeScratch};
 use crate::net::{Net, NetDb};
 use crate::path::Path;
 use crate::ports::{PortDb, PortDir};
@@ -55,12 +55,6 @@ pub struct RouterOptions {
     pub use_templates_first: bool,
     /// Node-expansion budget per maze search.
     pub max_maze_nodes: usize,
-    /// Fan-out at which [`Router::route_fanout`] switches from the
-    /// paper's greedy nearest-first loop to the congestion-aware Steiner
-    /// builder ([`crate::steiner`]), which keeps the greedy tree as one
-    /// of its arms and only returns a different tree when strictly
-    /// cheaper. `None` disables the Steiner path entirely.
-    pub steiner_fanout: Option<usize>,
 }
 
 impl Default for RouterOptions {
@@ -69,7 +63,6 @@ impl Default for RouterOptions {
             use_long_lines: false,
             use_templates_first: true,
             max_maze_nodes: 2_000_000,
-            steiner_fanout: Some(6),
         }
     }
 }
@@ -530,6 +523,11 @@ impl Router {
     /// (`route(EndPoint, EndPoint[])`): *"Each sink gets routed in order
     /// of increasing distance from the source. For each sink, the router
     /// attempts to reuse the previous paths as much as possible."*
+    ///
+    /// Every sink is checked before anything is searched, and the tree
+    /// is committed only once it reaches them all: a sink held by
+    /// another net, or one no search reaches, leaves the configuration
+    /// as it was.
     pub fn route_fanout(&mut self, source: &EndPoint, sinks: &[EndPoint]) -> Result<()> {
         let mut span = self.obs.span("router.route_fanout");
         span.note(sinks.len() as u64);
@@ -543,97 +541,21 @@ impl Router {
             }
         }
         resolved.sort_by_key(|(pin, _)| pin.rc.manhattan(src.rc));
-        let net = {
-            let seg = self.seg(src.rc, src.wire)?;
-            self.net_for_source(src, seg)?
-        };
-        // High-fanout nets go through the best-of-two Steiner builder —
-        // never worse than the greedy loop in wirelength, since the
-        // greedy order is one of its arms. Only fresh nets qualify: a
-        // net that already has wiring reuses it through the per-sink
-        // loop's start set instead.
-        if let Some(threshold) = self.opts.steiner_fanout {
-            if resolved.len() >= threshold
-                && self.nets.net(net).is_none_or(|n| n.pips.is_empty())
-                && self.route_fanout_steiner(net, src, &resolved)?
-            {
-                for (_, ep) in resolved {
-                    self.nets.add_intent(net, *source, ep);
-                }
-                return Ok(());
+        let src_seg = self.seg(src.rc, src.wire)?;
+        let net = self.net_for_source(src, src_seg)?;
+        let mut goals = Vec::with_capacity(resolved.len());
+        for (pin, _) in &resolved {
+            let goal = self.seg(pin.rc, pin.wire)?;
+            if !self.sink_reached(net, goal)? && !goals.contains(&goal) {
+                goals.push(goal);
             }
         }
+        self.grow_net(net, src_seg, &goals)?;
         for (pin, ep) in resolved {
-            // Fan-out legs go straight to the maze with tree reuse; the
-            // greedy ordering is the paper's algorithm.
-            self.route_one(net, src, pin, false)?;
+            self.nets.add_sink(net, pin);
             self.nets.add_intent(net, *source, ep);
         }
         Ok(())
-    }
-
-    /// Route a high-fanout net as one congestion-aware Steiner tree
-    /// ([`steiner::build_tree_obs`] at criticality zero). `Ok(false)`
-    /// means the builder could not reach every sink inside the maze
-    /// budget; the caller falls back to the paper's greedy per-sink
-    /// loop. Contention on a sink is a hard error, exactly as in
-    /// [`Router::route_one`].
-    fn route_fanout_steiner(
-        &mut self,
-        net: NetId,
-        src: Pin,
-        resolved: &[(Pin, EndPoint)],
-    ) -> Result<bool> {
-        let src_seg = self.seg(src.rc, src.wire)?;
-        let mut goals = Vec::with_capacity(resolved.len());
-        for (pin, _) in resolved {
-            let goal = self.seg(pin.rc, pin.wire)?;
-            if let Some(owner) = self.nets.owner(goal) {
-                if owner != net {
-                    return Err(RouteError::ResourceInUse {
-                        segment: goal,
-                        owner: Some(owner),
-                    });
-                }
-            } else if self.bits.is_segment_driven(goal) {
-                self.stats.contention_rejections += 1;
-                return Err(RouteError::Contention {
-                    segment: goal,
-                    owner: None,
-                });
-            }
-            goals.push(goal);
-        }
-        let crits = vec![0u32; goals.len()];
-        let cfg = self.maze_config();
-        self.stats.maze_searches += goals.len();
-        let tree = {
-            let nets = &self.nets;
-            let bits = &self.bits;
-            steiner::build_tree_obs(
-                &self.device,
-                src_seg,
-                &goals,
-                &crits,
-                &cfg,
-                |seg| {
-                    nets.owner(seg).is_some_and(|o| o != net)
-                        || (nets.owner(seg).is_none() && bits.is_segment_driven(seg))
-                },
-                |_| 0,
-                &mut self.scratch,
-                &self.obs,
-            )
-        };
-        let Some(tree) = tree else {
-            return Ok(false);
-        };
-        self.stats.maze_nodes_expanded += tree.nodes_expanded;
-        self.commit_pips(net, &tree.pips)?;
-        for (pin, _) in resolved {
-            self.nets.add_sink(net, *pin);
-        }
-        Ok(true)
     }
 
     /// Bus routing (`route(EndPoint[], EndPoint[])`): connect
@@ -657,21 +579,8 @@ impl Router {
     /// Route one sink for `net`, optionally trying templates first.
     fn route_one(&mut self, net: NetId, src: Pin, sink: Pin, templates: bool) -> Result<()> {
         let goal = self.seg(sink.rc, sink.wire)?;
-        if let Some(owner) = self.nets.owner(goal) {
-            if owner != net {
-                return Err(RouteError::ResourceInUse {
-                    segment: goal,
-                    owner: Some(owner),
-                });
-            }
-            return Ok(()); // already reached by this net
-        }
-        if self.bits.is_segment_driven(goal) {
-            self.stats.contention_rejections += 1;
-            return Err(RouteError::Contention {
-                segment: goal,
-                owner: None,
-            });
+        if self.sink_reached(net, goal)? {
+            return Ok(());
         }
         let src_seg = self.seg(src.rc, src.wire)?;
 
@@ -694,25 +603,57 @@ impl Router {
             self.stats.maze_fallbacks += 1;
         }
 
-        // Maze search with tree reuse: every segment already on the net is
-        // a zero-cost start.
-        let mut starts = vec![(src_seg, 0u32)];
+        self.grow_net(net, src_seg, &[goal])?;
+        self.nets.add_sink(net, sink);
+        Ok(())
+    }
+
+    /// Whether `net` already reaches the sink `goal` (`Ok(false)`: the
+    /// sink is free). A sink held by another net, or driven by
+    /// configuration made behind the router's back, is an error.
+    fn sink_reached(&mut self, net: NetId, goal: Segment) -> Result<bool> {
+        if let Some(owner) = self.nets.owner(goal) {
+            if owner != net {
+                return Err(RouteError::ResourceInUse {
+                    segment: goal,
+                    owner: Some(owner),
+                });
+            }
+            return Ok(true);
+        }
+        if self.bits.is_segment_driven(goal) {
+            self.stats.contention_rejections += 1;
+            return Err(RouteError::Contention {
+                segment: goal,
+                owner: None,
+            });
+        }
+        Ok(false)
+    }
+
+    /// Grow `net` from `src` to every goal through [`steiner::grow`] and
+    /// commit the tree, or nothing. Every segment already on the net is
+    /// a zero-cost start; at criticality zero arrival times price
+    /// nothing, so the seed leaves them at zero.
+    fn grow_net(&mut self, net: NetId, src: Segment, goals: &[Segment]) -> Result<()> {
+        let dev = self.device;
+        let mut seed = vec![(src, 0)];
         if let Some(n) = self.nets.net(net) {
-            let dev = self.device;
-            starts.extend(n.pips.iter().filter_map(|&(rc, pip)| {
-                let seg = dev.canonicalize(rc, pip.to)?;
-                (!seg.wire.is_clb_input()).then_some((seg, 0u32))
-            }));
+            seed.extend(
+                n.pips
+                    .iter()
+                    .filter_map(|&(rc, pip)| Some((dev.canonicalize(rc, pip.to)?, 0))),
+            );
         }
         let cfg = self.maze_config();
-        self.stats.maze_searches += 1;
-        let result = {
+        let tree = {
             let nets = &self.nets;
             let bits = &self.bits;
-            maze::search_obs(
-                &self.device,
-                &starts,
-                goal,
+            steiner::grow(
+                &dev,
+                &seed,
+                goals,
+                &[],
                 &cfg,
                 |seg| {
                     nets.owner(seg).is_some_and(|o| o != net)
@@ -723,14 +664,16 @@ impl Router {
                 &self.obs,
             )
         };
-        let result = result.ok_or(RouteError::Unroutable {
-            from: src_seg,
-            to: goal,
+        let tree = tree.map_err(|i| {
+            self.stats.maze_searches += i + 1;
+            RouteError::Unroutable {
+                from: src,
+                to: goals[i],
+            }
         })?;
-        self.stats.maze_nodes_expanded += result.nodes_expanded;
-        self.commit_pips(net, &result.pips)?;
-        self.nets.add_sink(net, sink);
-        Ok(())
+        self.stats.maze_searches += goals.len();
+        self.stats.maze_nodes_expanded += tree.nodes_expanded;
+        self.commit_pips(net, &tree.pips)
     }
 
     /// Resolve an endpoint to physical pins (ports flatten, §3.2).
@@ -1021,6 +964,26 @@ mod tests {
         assert_eq!(net.sinks.len(), 3);
         // One net owns everything.
         assert_eq!(r.nets().len(), 1);
+    }
+
+    #[test]
+    fn level5_fanout_commits_the_whole_tree_or_nothing() {
+        let mut r = router();
+        // Another net owns the farthest sink.
+        let taken: EndPoint = Pin::new(4, 16, wire::S0_F3).into();
+        r.route(&Pin::new(2, 16, wire::S1_YQ).into(), &taken)
+            .unwrap();
+        let (pips, searches) = (r.bits().on_pip_count(), r.stats().maze_searches);
+        let src: EndPoint = Pin::new(4, 4, wire::S0_YQ).into();
+        let sinks: Vec<EndPoint> = vec![
+            Pin::new(4, 8, wire::S0_F3).into(),
+            Pin::new(5, 9, wire::S1_F1).into(),
+            taken,
+        ];
+        let err = r.route_fanout(&src, &sinks).unwrap_err();
+        assert!(matches!(err, RouteError::ResourceInUse { .. }), "{err:?}");
+        assert_eq!(r.bits().on_pip_count(), pips, "no branch was left behind");
+        assert_eq!(r.stats().maze_searches, searches, "nothing was searched");
     }
 
     #[test]

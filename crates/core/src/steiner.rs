@@ -1,36 +1,27 @@
-//! Congestion-aware Steiner-tree construction for high-fanout nets.
+//! Tree growth for multi-sink nets: the paper's path-reuse loop.
 //!
 //! The paper's fan-out router grows a tree greedily: *"Each sink gets
 //! routed in order of increasing distance from the source. For each
 //! sink, the router attempts to reuse the previous paths as much as
-//! possible"* (§3.1). That order is a poor Steiner approximation when
-//! sinks cluster far from the source — the first leg commits wiring the
-//! later sinks cannot profit from. This module implements the classic
-//! sequential (Takahashi–Matsuyama-style) alternative: connect the
-//! *nearest unconnected sink to the partial tree*, branching from the
-//! cheapest point on it, with every leg found by the maze engine's
-//! bounded searches so congestion (and, when criticality is set, delay)
-//! is priced into each branch.
+//! possible"* (§3.1). [`grow`] is that loop, and the one tree builder:
+//! every leg is a maze search whose start set is the whole tree built
+//! so far, each tree segment offered at its criticality-scaled arrival
+//! delay (zero at criticality zero), so congestion — and, when
+//! criticality is set, delay — is priced into every branch.
 //!
-//! Because neither insertion order dominates on every instance, the
-//! builder runs both — the caller's greedy order and nearest-to-tree —
-//! and commits the cheaper tree. The greedy arm is the paper's loop
-//! itself: every leg starts from the whole tree built so far, at zero
-//! cost when criticality is zero. That gives a structural guarantee the
-//! benches assert: the returned tree's weighted wirelength never
-//! exceeds the greedy path-reuse tree's on the same instance.
+//! Its callers differ only in what they hand it:
+//! - [`Router::route_fanout`](crate::Router::route_fanout) grows at
+//!   criticality zero from the net's existing wiring;
+//! - PathFinder grows every net at its per-sink criticalities against
+//!   a frozen congestion snapshot;
+//! - `jroute_timing::route_fanout_timing_driven` grows at [`CRIT_ONE`]
+//!   from the bitstream readback of the tree.
 //!
-//! The greedy arm (`grow` in input order) is also how PathFinder
-//! builds every net below its Steiner fan-out
-//! ([`TimingConfig::steiner_fanout`](crate::pathfinder::TimingConfig::steiner_fanout)),
-//! timing-driven or not, so negotiation has one tree grower. Nets at or
-//! above the fan-out take the best-of-two [`build_tree_obs`].
-//!
-//! Both are pure functions of their inputs (device, congestion
-//! snapshot, criticalities): they take their scratch from the caller
-//! (`ScratchPool`-leased in the partition-parallel waves) and perform
-//! no global mutation, so they compose with the wave dispatcher and
-//! stay bit-identical across worker counts.
+//! `grow` is a pure function of its inputs (device, seed, congestion
+//! snapshot, criticalities): it takes its scratch from the caller
+//! (`ScratchPool`-leased in the partition-parallel waves) and performs
+//! no global mutation, so it composes with the wave dispatcher and
+//! stays bit-identical across worker counts.
 
 use crate::maze::{self, blend, MazeConfig, MazeResult, MazeScratch, CRIT_ONE};
 use jbits::Pip;
@@ -48,23 +39,10 @@ pub struct SteinerTree {
     pub pips: Vec<(RowCol, Pip)>,
     /// New segments entered by the tree, aligned with `pips`.
     pub segments: Vec<Segment>,
-    /// Per-sink arrival delay in picoseconds, aligned with the *input*
-    /// goal order (not connection order).
+    /// Per-sink arrival delay in picoseconds, aligned with the goals.
     pub sink_delays: Vec<u64>,
-    /// Total blended search cost over all legs (congestion-priced; the
-    /// arm-selection metric).
-    pub cost: u32,
-    /// Weighted wirelength: Σ base `wire_cost` over `segments`,
-    /// congestion-free — the E3 comparison metric.
-    pub wirelength: u32,
-    /// Maze nodes expanded across every search of both arms.
+    /// Maze nodes expanded across every leg's search.
     pub nodes_expanded: usize,
-    /// Whether the nearest-to-tree arm beat the greedy arm strictly.
-    pub steiner_won: bool,
-    /// Distinct non-source branch points in the winning tree.
-    pub branches: usize,
-    /// Legs that grafted onto reused tree wiring rather than the source.
-    pub reuse_hits: usize,
 }
 
 /// Crit-scaled initial cost of a tree start: an arrival of `ps` weighs
@@ -76,67 +54,77 @@ fn start_cost(crit: u32, ps: u64) -> u32 {
 }
 
 /// Drop the redundant prefix of a maze leg that re-entered the existing
-/// tree. With crit-scaled (non-zero) start costs a search may reach a
-/// tree segment more cheaply than its offered start cost and route
-/// *through* it; the prefix before the last such segment would
-/// double-drive wiring the tree already drives. Returns the graft
-/// segment the kept suffix branches from, or `None` if the leg begins
-/// at a start marker (graft = the start itself).
-fn trim_reentry(arrivals: &HashMap<Segment, u64>, r: &mut MazeResult) -> Option<Segment> {
-    let last = r
-        .segments
-        .iter()
-        .rposition(|seg| arrivals.contains_key(seg));
-    if let Some(j) = last {
-        let graft = r.segments[j];
-        r.segments.drain(..=j);
-        r.pips.drain(..=j);
-        Some(graft)
-    } else {
-        None
-    }
+/// tree, and return the arrival time of the tree segment the kept
+/// suffix branches from. With crit-scaled (non-zero) start costs a
+/// search may reach a tree segment more cheaply than its offered start
+/// cost and route *through* it; the prefix before the last such segment
+/// would double-drive wiring the tree already drives. Without a
+/// re-entry the leg branches from the start its first PIP leaves.
+fn graft_arrival(dev: &Device, arrivals: &HashMap<Segment, u64>, r: &mut MazeResult) -> u64 {
+    let graft = match r.segments.iter().rposition(|s| arrivals.contains_key(s)) {
+        Some(j) => {
+            let graft = r.segments[j];
+            r.segments.drain(..=j);
+            r.pips.drain(..=j);
+            Some(graft)
+        }
+        None => r
+            .pips
+            .first()
+            .and_then(|&(rc, pip)| dev.canonicalize(rc, pip.from)),
+    };
+    graft.and_then(|g| arrivals.get(&g).copied()).unwrap_or(0)
 }
 
-/// Grow one tree in the given `order` of goal indices: the paper's
-/// path-reuse loop, where every leg starts from the whole tree built so
-/// far. In input order this is the greedy arm of [`build_tree_obs`] and
-/// the builder of every PathFinder net below the Steiner fan-out.
-/// Returns `None` if any leg is unroutable under `cfg` (callers retry
-/// unbounded or report the miss, exactly like single-sink routing).
+/// Grow a tree from `seed` to every goal, connecting goals in input
+/// order: the paper's path-reuse loop, where every leg starts from the
+/// whole tree built so far.
+///
+/// `seed` is the tree to grow from: the source first, then any wiring
+/// the net already has, each segment at its arrival time in
+/// picoseconds. A goal already on the tree (in the seed, reached by an
+/// earlier leg, or named twice) costs no search; its delay is read from
+/// the tree. `crits` holds per-goal criticalities in [`CRIT_ONE`]
+/// fixed-point units (missing entries read as zero); each leg searches
+/// at its goal's criticality in place of `cfg.crit`.
+///
+/// Returns `Err(i)` when goal `i`'s leg is unroutable under `cfg`;
+/// callers retry unbounded or report the miss, as for single-sink
+/// routing.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn grow(
+pub fn grow(
     dev: &Device,
-    src: Segment,
+    seed: &[(Segment, u64)],
     goals: &[Segment],
     crits: &[u32],
-    order: &[usize],
     cfg: &MazeConfig,
     mut blocked: impl FnMut(Segment) -> bool,
     mut extra_cost: impl FnMut(Segment) -> u32,
     scratch: &mut MazeScratch,
     obs: &Recorder,
-) -> Option<SteinerTree> {
-    let la = dev.lookahead();
-    let mut arrivals: HashMap<Segment, u64> = HashMap::new();
-    arrivals.insert(src, 0);
+) -> Result<SteinerTree, usize> {
+    let mut arrivals: HashMap<Segment, u64> = seed.iter().copied().collect();
     // Insertion-ordered (segment, arrival ps) list: the start set for
     // every leg. Deterministic order keeps Dial-queue tie-breaking — and
-    // therefore results — independent of map iteration.
-    let mut tree: Vec<(Segment, u64)> = vec![(src, 0)];
-    let mut arm = SteinerTree {
+    // therefore results — independent of map iteration. A CLB input is
+    // a dead end: no leg can start there.
+    let mut tree: Vec<(Segment, u64)> = seed
+        .iter()
+        .copied()
+        .filter(|(seg, _)| !seg.wire.is_clb_input())
+        .collect();
+    let mut out = SteinerTree {
         pips: Vec::new(),
         segments: Vec::new(),
         sink_delays: vec![0; goals.len()],
-        cost: 0,
-        wirelength: 0,
         nodes_expanded: 0,
-        steiner_won: false,
-        branches: 0,
-        reuse_hits: 0,
     };
-    let mut grafts: Vec<Segment> = Vec::new();
     let mut starts: Vec<(Segment, u32)> = Vec::new();
-    for &i in order {
+    for (i, &goal) in goals.iter().enumerate() {
+        if let Some(&at) = arrivals.get(&goal) {
+            out.sink_delays[i] = at;
+            continue;
+        }
         let crit = crits.get(i).copied().unwrap_or(0).min(CRIT_ONE);
         starts.clear();
         starts.extend(tree.iter().map(|&(seg, ps)| (seg, start_cost(crit, ps))));
@@ -147,152 +135,28 @@ pub(crate) fn grow(
         let mut r = maze::search_obs(
             dev,
             &starts,
-            goals[i],
+            goal,
             &leg_cfg,
             &mut blocked,
             &mut extra_cost,
             scratch,
             obs,
-        )?;
-        arm.nodes_expanded += r.nodes_expanded;
-        arm.cost = arm.cost.saturating_add(r.cost);
-        let graft = trim_reentry(&arrivals, &mut r).or_else(|| {
-            r.pips
-                .first()
-                .and_then(|&(rc, pip)| dev.canonicalize(rc, pip.from))
-        });
-        let Some(graft) = graft else {
-            // Empty leg: the goal was already on the tree.
-            arm.sink_delays[i] = arrivals.get(&goals[i]).copied().unwrap_or(0);
-            continue;
-        };
-        if graft != src {
-            arm.reuse_hits += 1;
-            if !grafts.contains(&graft) {
-                grafts.push(graft);
-            }
-        }
-        let mut at = arrivals.get(&graft).copied().unwrap_or(0);
-        for (j, &seg) in r.segments.iter().enumerate() {
+        )
+        .ok_or(i)?;
+        out.nodes_expanded += r.nodes_expanded;
+        let mut at = graft_arrival(dev, &arrivals, &mut r);
+        for &seg in &r.segments {
             at += PIP_DELAY_PS + wire_delay_ps(seg.wire);
-            arm.wirelength += la.model().wire_cost(seg.wire);
             arrivals.insert(seg, at);
-            // A CLB input is a dead end: no later leg can start there.
             if !seg.wire.is_clb_input() {
                 tree.push((seg, at));
             }
-            debug_assert!(j < r.pips.len());
         }
-        arm.sink_delays[i] = at;
-        arm.pips.extend_from_slice(&r.pips);
-        arm.segments.extend_from_slice(&r.segments);
+        out.sink_delays[i] = at;
+        out.pips.extend_from_slice(&r.pips);
+        out.segments.extend_from_slice(&r.segments);
     }
-    arm.branches = grafts.len();
-    Some(arm)
-}
-
-/// The nearest-unconnected-sink-to-tree insertion order: repeatedly pick
-/// the remaining goal with the smallest lookahead distance to any tree
-/// terminal (source or connected sink), smallest index on ties.
-fn nearest_order(dev: &Device, src: Segment, goals: &[Segment], longs: bool) -> Vec<usize> {
-    let la = dev.lookahead();
-    let mut terminals: Vec<RowCol> = vec![src.rc];
-    let mut remaining: Vec<usize> = (0..goals.len()).collect();
-    let mut order = Vec::with_capacity(goals.len());
-    while !remaining.is_empty() {
-        let (pos, &best) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &i)| {
-                let d = terminals
-                    .iter()
-                    .map(|&t| la.estimate(goals[i], t, longs))
-                    .min()
-                    .unwrap_or(u32::MAX);
-                (d, i)
-            })
-            .expect("remaining is non-empty");
-        remaining.swap_remove(pos);
-        order.push(best);
-        terminals.push(goals[best].rc);
-    }
-    order
-}
-
-/// Build a multi-sink tree from `src` to every goal, trying both the
-/// caller's (greedy, distance-sorted) order and the nearest-to-tree
-/// Steiner order, and returning the cheaper tree by total blended
-/// search cost. `crits` holds per-goal criticalities in [`CRIT_ONE`]
-/// fixed-point units (empty for pure-congestion routing). Returns
-/// `None` if either arm fails to route every goal under `cfg` — the
-/// caller retries unbounded or falls back, exactly as for single legs.
-#[allow(clippy::too_many_arguments)]
-pub fn build_tree_obs(
-    dev: &Device,
-    src: Segment,
-    goals: &[Segment],
-    crits: &[u32],
-    cfg: &MazeConfig,
-    mut blocked: impl FnMut(Segment) -> bool,
-    mut extra_cost: impl FnMut(Segment) -> u32,
-    scratch: &mut MazeScratch,
-    obs: &Recorder,
-) -> Option<SteinerTree> {
-    let greedy_order: Vec<usize> = (0..goals.len()).collect();
-    let greedy = grow(
-        dev,
-        src,
-        goals,
-        crits,
-        &greedy_order,
-        cfg,
-        &mut blocked,
-        &mut extra_cost,
-        scratch,
-        obs,
-    )?;
-    // With fewer than three sinks both orders coincide (the nearest
-    // unconnected sink to a source-only tree is the nearest to the
-    // source): skip the second arm.
-    let steiner = if goals.len() >= 3 {
-        let order = nearest_order(dev, src, goals, cfg.use_long_lines);
-        if order == greedy_order {
-            None
-        } else {
-            grow(
-                dev,
-                src,
-                goals,
-                crits,
-                &order,
-                cfg,
-                &mut blocked,
-                &mut extra_cost,
-                scratch,
-                obs,
-            )
-        }
-    } else {
-        None
-    };
-    let total_nodes = greedy.nodes_expanded + steiner.as_ref().map_or(0, |s| s.nodes_expanded);
-    // Strict improvement only: on a tie the paper's greedy tree stands.
-    let steiner_won = steiner.as_ref().is_some_and(|s| s.cost < greedy.cost);
-    let mut tree = if steiner_won {
-        steiner.expect("won arm exists")
-    } else {
-        greedy
-    };
-    tree.nodes_expanded = total_nodes;
-    tree.steiner_won = steiner_won;
-    obs.counter("steiner.builds").inc();
-    if steiner_won {
-        obs.counter("steiner.wins").inc();
-    }
-    obs.counter("steiner.branches").add(tree.branches as u64);
-    obs.counter("steiner.reuse_hits")
-        .add(tree.reuse_hits as u64);
-    Some(tree)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -309,9 +173,7 @@ mod tests {
         dev.canonicalize(pin.rc, pin.wire).unwrap()
     }
 
-    /// A source at the center-left with a far cluster of sinks: the
-    /// greedy order routes each cluster sink from near-equal distance,
-    /// while the Steiner order rides one trunk and branches locally.
+    /// A source at the center-left with a far cluster of sinks.
     fn cluster(dev: &Device) -> (Segment, Vec<Segment>) {
         let src = seg_of(dev, Pin::new(16, 4, wire::S0_YQ));
         use virtex::wire::{slice_in, slice_in_pin};
@@ -326,23 +188,33 @@ mod tests {
         (src, sinks)
     }
 
+    fn grow_free(
+        dev: &Device,
+        src: Segment,
+        goals: &[Segment],
+        blocked: impl FnMut(Segment) -> bool,
+        obs: &Recorder,
+    ) -> Result<SteinerTree, usize> {
+        let mut scratch = MazeScratch::new(dev);
+        grow(
+            dev,
+            &[(src, 0)],
+            goals,
+            &[],
+            &MazeConfig::default(),
+            blocked,
+            |_| 0,
+            &mut scratch,
+            obs,
+        )
+    }
+
     #[test]
     fn tree_reaches_every_sink_without_duplicates() {
         let dev = dev();
         let (src, sinks) = cluster(&dev);
-        let mut scratch = MazeScratch::new(&dev);
-        let t = build_tree_obs(
-            &dev,
-            src,
-            &sinks,
-            &[],
-            &MazeConfig::default(),
-            |_| false,
-            |_| 0,
-            &mut scratch,
-            &Recorder::disabled(),
-        )
-        .expect("tree routes");
+        let t =
+            grow_free(&dev, src, &sinks, |_| false, &Recorder::disabled()).expect("tree routes");
         for s in &sinks {
             assert!(t.segments.contains(s), "sink {s} reached");
         }
@@ -356,77 +228,66 @@ mod tests {
     }
 
     #[test]
-    fn never_worse_than_greedy_and_wins_on_clusters() {
-        let dev = dev();
-        let (src, sinks) = cluster(&dev);
-        let mut scratch = MazeScratch::new(&dev);
-        // The greedy reference: input order only.
-        let greedy = grow(
-            &dev,
-            src,
-            &sinks,
-            &[],
-            &(0..sinks.len()).collect::<Vec<_>>(),
-            &MazeConfig::default(),
-            |_| false,
-            |_| 0,
-            &mut scratch,
-            &Recorder::disabled(),
-        )
-        .expect("greedy routes");
-        let t = build_tree_obs(
-            &dev,
-            src,
-            &sinks,
-            &[],
-            &MazeConfig::default(),
-            |_| false,
-            |_| 0,
-            &mut scratch,
-            &Recorder::disabled(),
-        )
-        .expect("tree routes");
-        assert!(t.cost <= greedy.cost, "best-of-two can never lose");
-        assert!(
-            t.wirelength <= greedy.wirelength || t.cost < greedy.cost,
-            "picked arm is cheaper"
-        );
-    }
-
-    #[test]
     fn blocked_segments_are_respected() {
         let dev = dev();
         let (src, sinks) = cluster(&dev);
-        let mut scratch = MazeScratch::new(&dev);
-        let t = build_tree_obs(
-            &dev,
-            src,
-            &sinks,
-            &[],
-            &MazeConfig::default(),
-            |_| false,
-            |_| 0,
-            &mut scratch,
-            &Recorder::disabled(),
-        )
-        .unwrap();
+        let t = grow_free(&dev, src, &sinks, |_| false, &Recorder::disabled()).unwrap();
         let banned = t.segments[t.segments.len() / 2];
         if banned.wire.is_clb_input() {
             return; // picking a pin would block a sink itself
         }
-        let t2 = build_tree_obs(
+        let t2 = grow_free(&dev, src, &sinks, |s| s == banned, &Recorder::disabled())
+            .expect("detour exists");
+        assert!(!t2.segments.contains(&banned));
+    }
+
+    #[test]
+    fn a_goal_already_on_the_tree_costs_no_search() {
+        let dev = dev();
+        let (src, sinks) = cluster(&dev);
+        let (a, b) = (sinks[0], sinks[1]);
+        let obs = Recorder::enabled();
+        let t = grow_free(&dev, src, &[a, b, a], |_| false, &obs).unwrap();
+        assert_eq!(obs.report().counter("maze.searches"), Some(2));
+        assert_eq!(t.sink_delays[0], t.sink_delays[2]);
+        assert_eq!(t.segments.iter().filter(|&&s| s == a).count(), 1);
+        // A seed that already reaches a goal: nothing to search.
+        let obs = Recorder::enabled();
+        let mut scratch = MazeScratch::new(&dev);
+        let t2 = grow(
             &dev,
-            src,
-            &sinks,
+            &[(src, 0), (a, 700)],
+            &[a],
             &[],
             &MazeConfig::default(),
-            |s| s == banned,
+            |_| false,
             |_| 0,
             &mut scratch,
+            &obs,
+        )
+        .unwrap();
+        assert!(t2.pips.is_empty());
+        assert_eq!(t2.sink_delays, vec![700]);
+        assert_eq!(obs.report().counter("maze.searches").unwrap_or(0), 0);
+    }
+
+    #[test]
+    fn an_unroutable_leg_names_its_goal() {
+        let dev = dev();
+        let (src, sinks) = cluster(&dev);
+        // Only the first leg's own wiring may be entered: the first sink
+        // routes exactly as before, a far second one cannot be reached.
+        let first = grow_free(&dev, src, &sinks[..1], |_| false, &Recorder::disabled()).unwrap();
+        let far = seg_of(&dev, Pin::new(2, 44, wire::S0_F3));
+        let err = grow_free(
+            &dev,
+            src,
+            &[sinks[0], far],
+            |s| !first.segments.contains(&s),
             &Recorder::disabled(),
         )
-        .expect("detour exists");
-        assert!(!t2.segments.contains(&banned));
+        .unwrap_err();
+        assert_eq!(err, 1);
     }
 
     #[test]

@@ -266,15 +266,10 @@ impl<'d> RoutingService<'d> {
                 obs.histogram("pathfinder.wave_size"),
             );
             // Timing-driven telemetry: the per-iteration criticality
-            // distribution and the best-of-two Steiner builder's
-            // win/branch/reuse counters.
+            // distribution.
             w.track_gauge("pathfinder.crit_max", obs.gauge("pathfinder.crit_max"));
             w.track_gauge("pathfinder.crit_p99", obs.gauge("pathfinder.crit_p99"));
             w.track_histogram("pathfinder.crit", obs.histogram("pathfinder.crit"));
-            w.track_counter("steiner.builds", obs.counter("steiner.builds"));
-            w.track_counter("steiner.wins", obs.counter("steiner.wins"));
-            w.track_counter("steiner.branches", obs.counter("steiner.branches"));
-            w.track_counter("steiner.reuse_hits", obs.counter("steiner.reuse_hits"));
             w
         });
         RoutingService {

@@ -9,14 +9,14 @@
 //! their accumulated arrival delay and new wires costed by the delay
 //! model — so critical nets get minimum-arrival branches.
 //!
-//! Built entirely on the public `jroute` API plus the maze engine: the
-//! committed PIPs go through `Router::route_pip`, so all contention
-//! protection and net bookkeeping apply unchanged.
+//! Built entirely on the public `jroute` API: the tree grows through
+//! [`jroute::steiner::grow`], the same builder as the greedy router and
+//! PathFinder, and the committed PIPs go through `Router::route_pip`, so
+//! all contention protection and net bookkeeping apply unchanged.
 
 use crate::analysis::segment_arrivals;
-use crate::delay::ps_to_units;
-use jroute::maze::{self, MazeConfig, MazeScratch, CRIT_ONE};
-use jroute::{EndPoint, Result, RouteError, Router};
+use jroute::maze::{MazeConfig, MazeScratch, CRIT_ONE};
+use jroute::{steiner, EndPoint, Result, RouteError, Router};
 use virtex::Segment;
 
 /// Route `source` to every sink minimizing per-sink *arrival time*.
@@ -28,38 +28,33 @@ use virtex::Segment;
 /// delay model. Grafting near the source is therefore preferred for
 /// critical sinks even when deeper reuse would save wire.
 ///
-/// Returns the number of PIPs configured. Compare with
-/// [`jroute::Router::route_fanout`] (greedy, resource-minimizing) in
-/// experiment E13.
+/// Every sink is checked before anything is searched: one already in
+/// use, by any net, is refused. Returns the number of PIPs configured.
+/// Compare with [`jroute::Router::route_fanout`] (greedy,
+/// resource-minimizing) in experiment E13.
 pub fn route_fanout_timing_driven(
     router: &mut Router,
     source: &EndPoint,
     sinks: &[EndPoint],
 ) -> Result<usize> {
     let dev = *router.device();
+    let canonical = |pin: jroute::Pin| {
+        dev.canonicalize(pin.rc, pin.wire)
+            .ok_or(RouteError::NoSuchWire {
+                rc: pin.rc,
+                wire: pin.wire,
+            })
+    };
     let src = router.resolve(source)?[0];
-    let src_seg = dev
-        .canonicalize(src.rc, src.wire)
-        .ok_or(RouteError::NoSuchWire {
-            rc: src.rc,
-            wire: src.wire,
-        })?;
-    let mut scratch = MazeScratch::new(&dev);
-    // `crit = CRIT_ONE` puts the shared maze cost blend at the pure-delay
-    // endpoint: every expansion is charged `delay_units(wire)` and the
-    // lookahead switches to its delay tables — the same cost the
-    // criticality-driven PathFinder converges to for its most critical
-    // sinks, so this router and `pathfinder` price wires identically.
+    let src_seg = canonical(src)?;
     let cfg = MazeConfig {
         use_long_lines: router.options().use_long_lines,
-        crit: CRIT_ONE,
         // Exact A*: critical nets are worth the extra expansions, and at
         // weight 1 each leg is provably minimum-arrival (the delay
         // lookahead is admissible).
         heuristic_weight: 1,
         ..Default::default()
     };
-    let mut pips_configured = 0usize;
 
     // Resolve all sink pins first and route the most critical (farthest)
     // first, so the timing-driven tree forms around the worst path.
@@ -68,14 +63,9 @@ pub fn route_fanout_timing_driven(
         pins.extend(router.resolve(ep)?);
     }
     pins.sort_by_key(|p| std::cmp::Reverse(p.rc.manhattan(src.rc)));
-
+    let mut goals = Vec::with_capacity(pins.len());
     for pin in pins {
-        let goal = dev
-            .canonicalize(pin.rc, pin.wire)
-            .ok_or(RouteError::NoSuchWire {
-                rc: pin.rc,
-                wire: pin.wire,
-            })?;
+        let goal = canonical(pin)?;
         // The sink itself must be free (the maze never blocks its goal).
         if router.nets().owner(goal).is_some() || router.bits().is_segment_driven(goal) {
             return Err(RouteError::ResourceInUse {
@@ -83,42 +73,49 @@ pub fn route_fanout_timing_driven(
                 owner: router.nets().owner(goal),
             });
         }
-        // The existing tree, offered at its true arrival delays.
-        let arrivals = segment_arrivals(router.bits(), src_seg);
-        let starts: Vec<(Segment, u32)> = arrivals
-            .iter()
-            .map(|(&seg, &ps)| (seg, ps_to_units(ps)))
-            .collect();
-        let result = {
-            let nets = router.nets();
-            let bits = router.bits();
-            maze::search(
-                &dev,
-                &starts,
-                goal,
-                &cfg,
-                |seg: Segment| {
-                    // Any driven or claimed wire cannot take a second
-                    // driving PIP (§3.4); tree reuse happens through the
-                    // start set, never by re-entering.
-                    nets.is_used(seg) || bits.is_segment_driven(seg)
-                },
-                // At `crit = CRIT_ONE` the maze already charges
-                // `delay_units(wire)` per expansion; no congestion term.
-                |_: Segment| 0,
-                &mut scratch,
-            )
-        }
-        .ok_or(RouteError::Unroutable {
-            from: src_seg,
-            to: goal,
-        })?;
-        for (rc, pip) in &result.pips {
-            router.route_pip(*rc, pip.from, pip.to)?;
-            pips_configured += 1;
-        }
+        goals.push(goal);
     }
-    Ok(pips_configured)
+    // The existing tree, offered at its true arrival delays: one
+    // readback, in a fixed order (the source first, at 0 ps) so the
+    // maze's tie-breaking never depends on map iteration.
+    let mut seed: Vec<(Segment, u64)> = segment_arrivals(router.bits(), src_seg)
+        .into_iter()
+        .collect();
+    seed.sort_unstable_by_key(|&(seg, ps)| (ps, seg));
+    let tree = {
+        let nets = router.nets();
+        let bits = router.bits();
+        steiner::grow(
+            &dev,
+            &seed,
+            &goals,
+            // `crit = CRIT_ONE` puts the shared maze cost blend at the
+            // pure-delay endpoint: every expansion is charged
+            // `delay_units(wire)` and the lookahead switches to its delay
+            // tables — the same cost the criticality-driven PathFinder
+            // converges to for its most critical sinks, so this router
+            // and `pathfinder` price wires identically.
+            &vec![CRIT_ONE; goals.len()],
+            &cfg,
+            // Any driven or claimed wire cannot take a second driving
+            // PIP (§3.4); tree reuse happens through the start set,
+            // never by re-entering.
+            |seg| nets.is_used(seg) || bits.is_segment_driven(seg),
+            // At `crit = CRIT_ONE` the maze already charges
+            // `delay_units(wire)` per expansion; no congestion term.
+            |_| 0,
+            &mut MazeScratch::new(&dev),
+            router.recorder(),
+        )
+    }
+    .map_err(|i| RouteError::Unroutable {
+        from: src_seg,
+        to: goals[i],
+    })?;
+    for &(rc, pip) in &tree.pips {
+        router.route_pip(rc, pip.from, pip.to)?;
+    }
+    Ok(tree.pips.len())
 }
 
 #[cfg(test)]
@@ -181,6 +178,42 @@ mod tests {
             d.max_delay(),
             g.max_delay()
         );
+    }
+
+    #[test]
+    fn timing_driven_routing_is_deterministic() {
+        // The tree readback is a map; the builder is offered it in a
+        // fixed order, so every fresh router builds the same tree.
+        let dev = Device::new(Family::Xcv300);
+        let src: EndPoint = Pin::new(12, 12, wire::S0_YQ).into();
+        let sinks: Vec<EndPoint> = vec![
+            Pin::new(12, 20, wire::S0_F3).into(),
+            Pin::new(18, 12, wire::S1_F1).into(),
+            Pin::new(16, 18, wire::slice_in(0, 1)).into(),
+            Pin::new(8, 16, wire::S0_F3).into(),
+            Pin::new(6, 10, wire::S1_F1).into(),
+        ];
+        let route = || {
+            let mut r = Router::new(&dev);
+            route_fanout_timing_driven(&mut r, &src, &sinks).unwrap();
+            let mut pips: Vec<(RowCol, u16, u16)> = dev
+                .dims()
+                .iter_tiles()
+                .flat_map(|rc| {
+                    r.bits()
+                        .pips_at(rc)
+                        .iter()
+                        .map(move |p| (rc, p.from.0, p.to.0))
+                })
+                .collect();
+            pips.sort_unstable();
+            pips
+        };
+        let first = route();
+        assert!(!first.is_empty());
+        for run in 1..40 {
+            assert_eq!(route(), first, "run {run} built a different tree");
+        }
     }
 
     #[test]

@@ -71,13 +71,19 @@ grep -q '"id": "e19/serve_1ten_' target/bench-json/BENCH_e19_server.json
 grep -q '"id": "e19/serve_4ten_' target/bench-json/BENCH_e19_server.json
 echo "    wrote target/bench-json/BENCH_e19_server.json"
 
-echo "==> bench smoke: e20_timing_driven (criticality-driven negotiation + Steiner fan-out)"
+echo "==> bench smoke: e13_timing (greedy vs timing-driven fan-out; asserts t-max <= g-max)"
+BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
+    cargo bench --offline --bench e13_timing
+test -s target/bench-json/BENCH_e13_timing.json
+grep -q '"id": "e13/timing_driven_fanout_' target/bench-json/BENCH_e13_timing.json
+echo "    wrote target/bench-json/BENCH_e13_timing.json"
+
+echo "==> bench smoke: e20_timing_driven (criticality-driven vs pure-congestion negotiation)"
 BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 JROUTE_THREADS=1,2 \
     cargo bench --offline --bench e20_timing_driven
 test -s target/bench-json/BENCH_e20_timing_driven.json
 grep -q '"id": "e20/pure_congestion' target/bench-json/BENCH_e20_timing_driven.json
 grep -q '"id": "e20/criticality_driven' target/bench-json/BENCH_e20_timing_driven.json
-grep -q '"id": "e20/steiner_fanout_' target/bench-json/BENCH_e20_timing_driven.json
 echo "    wrote target/bench-json/BENCH_e20_timing_driven.json"
 
 echo "==> example smoke: churn_soak (100-step audited churn + .jrt replay)"
