@@ -20,9 +20,10 @@
 //!    form a *wave*; their boxes are pairwise disjoint, and no earlier
 //!    undecided job overlaps any of them.
 //! 2. **Search.** A wave's jobs search in parallel ([`WaveExec`]) against
-//!    the database as it stood when the wave started. A job's victims
-//!    read as free to its own searches; the nets of one job block each
-//!    other.
+//!    the database as it stood when the wave started. Each net grows as
+//!    one tree through [`steiner::grow`] ([`route_net`]). A job's
+//!    victims read as free to its own searches; the nets of one job
+//!    block each other.
 //! 3. **Commit.** One thread decides the jobs strictly in order. A job
 //!    changes the database only once every one of its nets has a path,
 //!    so a failure needs no rollback.
@@ -34,24 +35,24 @@
 //! commit thread, against live state, when a commit since the search
 //! wrote (occupied or freed) a segment the search could read: a segment
 //! whose origin lies inside its search region, any long line (long lines
-//! are exempt from the region in [`maze`]), or one of its own terminals.
+//! are exempt from the region in [`maze`](crate::maze)), or one of its own terminals.
 //! A search that fell back to the whole device reads everything, so any
 //! write since makes it stale. Box-disjointness makes staleness rare, but
 //! a net that fell back may leave its box, so exactness rests on this
 //! rule and not on the plan.
 
 use crate::error::{NetId, Result, RouteError};
-use crate::maze::{self, MazeConfig, MazeScratch};
+use crate::maze::{MazeConfig, MazeScratch};
 use crate::net::{Net, NetDb};
 use crate::partition::{self, ScratchPool, SearchBox};
-use crate::pathfinder::NetSpec;
+use crate::pathfinder::{NetSpec, RoutedNet};
 use crate::schedule::WaveExec;
-use jbits::Pip;
+use crate::steiner;
 use jroute_obs::{Recorder, TraceCtx};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-use virtex::{BBox, Device, RowCol, Segment, WireKind};
+use virtex::{BBox, Device, Segment, WireKind};
 
 /// Margin (tiles beyond the terminal bounding box) of the per-net search
 /// region a net's searches confine themselves to before falling back to
@@ -85,22 +86,11 @@ impl Default for ParallelConfig {
     }
 }
 
-/// A net routed by the engine.
-#[derive(Debug, Clone)]
-pub struct ParallelNet {
-    /// The net as requested.
-    pub spec: NetSpec,
-    /// PIPs in configuration order.
-    pub pips: Vec<(RowCol, Pip)>,
-    /// Segments the net occupies beyond its source, one per PIP.
-    pub segments: Vec<Segment>,
-}
-
 /// Outcome of a parallel routing run.
 #[derive(Debug)]
 pub struct ParallelResult {
     /// Routed nets, in input order (failures omitted).
-    pub nets: Vec<ParallelNet>,
+    pub nets: Vec<RoutedNet>,
     /// Indices of nets that could not be routed.
     pub failed: Vec<usize>,
     /// Search waves dispatched.
@@ -122,7 +112,7 @@ pub enum RouteFail {
 #[derive(Debug)]
 pub struct NetRoute {
     /// The routed net, or why it has no route.
-    pub net: std::result::Result<ParallelNet, RouteFail>,
+    pub net: std::result::Result<RoutedNet, RouteFail>,
     /// Region every search stayed in; `None` once a search fell back to
     /// the whole device.
     pub region: Option<BBox>,
@@ -130,11 +120,14 @@ pub struct NetRoute {
 
 /// Route `spec` around the segments `blocked` reports taken.
 ///
-/// Each sink is searched first inside the net's region
-/// ([`net_search_box`], or `maze.bbox` when the caller pins one), then —
-/// if that finds nothing and the region was not pinned — over the whole
-/// device, so bounding can slow a route down but never lose one. This is
-/// the one search policy of the engine and of the sequential model in
+/// Every terminal is checked first, in order: a wire the device lacks
+/// is [`RouteFail::BadWire`], a taken one [`RouteFail::NoPath`] (the
+/// maze never blocked-checks its goal). The net then grows as one tree
+/// through [`steiner::grow`] inside its region ([`net_search_box`], or
+/// `maze.bbox` when the caller pins one); if that misses and the region
+/// was not pinned, the whole net is grown again over the device, so
+/// bounding can slow a route down but never lose one. This is the one
+/// search policy of the engine and of the sequential model in
 /// `jroute-svc`, which must take identical decisions.
 pub fn route_net(
     dev: &Device,
@@ -144,62 +137,61 @@ pub fn route_net(
     scratch: &mut MazeScratch,
     obs: &Recorder,
 ) -> NetRoute {
-    let mut bounded = maze.clone();
-    let mut region = Some(
-        *bounded
-            .bbox
-            .get_or_insert_with(|| net_search_box(dev, spec)),
-    );
-    let fail = |region, why| NetRoute {
-        net: Err(why),
-        region,
+    let bounded = MazeConfig {
+        bbox: Some(maze.bbox.unwrap_or_else(|| net_search_box(dev, spec))),
+        ..maze.clone()
     };
-    let Some(src) = dev.canonicalize(spec.source.rc, spec.source.wire) else {
-        return fail(region, RouteFail::BadWire);
-    };
-    if blocked(src) {
-        return fail(region, RouteFail::NoPath);
+    let mut region = bounded.bbox;
+    let mut terminals = Vec::with_capacity(1 + spec.sinks.len());
+    for pin in std::iter::once(&spec.source).chain(&spec.sinks) {
+        let why = match dev.canonicalize(pin.rc, pin.wire) {
+            None => RouteFail::BadWire,
+            Some(seg) if blocked(seg) => RouteFail::NoPath,
+            Some(seg) => {
+                terminals.push(seg);
+                continue;
+            }
+        };
+        return NetRoute {
+            net: Err(why),
+            region,
+        };
     }
-    let mut net = ParallelNet {
-        spec: spec.clone(),
-        pips: Vec::new(),
-        segments: Vec::new(),
+    let grow = |cfg: &MazeConfig, scratch: &mut MazeScratch| {
+        steiner::grow(
+            dev,
+            &[(terminals[0], 0)],
+            &terminals[1..],
+            &[],
+            cfg,
+            &blocked,
+            |_| 0,
+            scratch,
+            obs,
+        )
     };
-    let mut starts = vec![(src, 0u32)];
-    for sink in &spec.sinks {
-        let Some(goal) = dev.canonicalize(sink.rc, sink.wire) else {
-            return fail(region, RouteFail::BadWire);
-        };
-        // The maze never blocked-checks its goal; a taken sink is a
-        // dead end, not a search.
-        if blocked(goal) {
-            return fail(region, RouteFail::NoPath);
-        }
-        let search = |cfg: &MazeConfig, scratch: &mut MazeScratch| {
-            maze::search_obs(dev, &starts, goal, cfg, &blocked, |_| 0, scratch, obs)
-        };
-        let mut r = search(&bounded, scratch);
-        if r.is_none() && maze.bbox.is_none() {
-            obs.counter("parallel.bbox_fallbacks").inc();
-            region = None;
-            r = search(maze, scratch);
-        }
-        let Some(r) = r else {
-            return fail(region, RouteFail::NoPath);
-        };
-        starts.extend(r.segments.iter().map(|&s| (s, 0)));
-        net.segments.extend_from_slice(&r.segments);
-        net.pips.extend_from_slice(&r.pips);
+    let mut tree = grow(&bounded, scratch);
+    if tree.is_err() && maze.bbox.is_none() {
+        obs.counter("parallel.bbox_fallbacks").inc();
+        region = None;
+        tree = grow(maze, scratch);
     }
     NetRoute {
-        net: Ok(net),
+        net: tree
+            .map(|t| RoutedNet {
+                spec: spec.clone(),
+                pips: t.pips,
+                segments: t.segments,
+                sink_delays: t.sink_delays,
+            })
+            .map_err(|_| RouteFail::NoPath),
         region,
     }
 }
 
 /// Commit a routed net into `db` and return its id. Contention here
 /// means the occupied set the net was searched against was wrong.
-pub fn apply_net(dev: &Device, db: &mut NetDb, net: &ParallelNet) -> Result<NetId> {
+pub fn apply_net(dev: &Device, db: &mut NetDb, net: &RoutedNet) -> Result<NetId> {
     let pin = net.spec.source;
     let src = dev
         .canonicalize(pin.rc, pin.wire)
@@ -267,7 +259,7 @@ pub struct Committed {
     /// Victims removed from the database.
     pub removed: Vec<NetId>,
     /// Nets created, in `specs` order.
-    pub added: Vec<(NetId, ParallelNet)>,
+    pub added: Vec<(NetId, RoutedNet)>,
 }
 
 /// Counters of one engine run.
@@ -281,7 +273,7 @@ pub struct EngineStats {
 
 /// A job's search, frozen until its commit.
 struct Frozen {
-    nets: std::result::Result<Vec<ParallelNet>, RouteFail>,
+    nets: std::result::Result<Vec<RoutedNet>, RouteFail>,
     /// Region each searched net read (`None` = the whole device).
     regions: Vec<Option<BBox>>,
     /// Journal length when the search ran.
@@ -667,6 +659,83 @@ mod tests {
             seq.waves < specs.len() as u64,
             "some waves hold several nets"
         );
+    }
+
+    fn route_free(
+        dev: &Device,
+        spec: &NetSpec,
+        maze: &MazeConfig,
+        blocked: impl Fn(Segment) -> bool,
+        obs: &Recorder,
+    ) -> NetRoute {
+        route_net(dev, spec, maze, blocked, &mut MazeScratch::new(dev), obs)
+    }
+
+    #[test]
+    fn a_sink_named_twice_costs_one_search() {
+        let dev = dev();
+        let sink = Pin::new(6, 10, wire::S0_F3);
+        let spec = NetSpec::new(Pin::new(4, 4, wire::S0_YQ), vec![sink, sink]);
+        let obs = Recorder::enabled();
+        let r = route_free(&dev, &spec, &MazeConfig::default(), |_| false, &obs);
+        let net = r.net.expect("routes");
+        assert_eq!(obs.report().counter("maze.searches"), Some(1));
+        assert_eq!(net.sink_delays.len(), 2);
+        assert_eq!(net.sink_delays[0], net.sink_delays[1]);
+    }
+
+    #[test]
+    fn a_bad_wire_after_an_unroutable_sink_is_reported_as_such() {
+        let dev = dev();
+        let src = Pin::new(4, 4, wire::S0_YQ);
+        let sink = Pin::new(6, 10, wire::S0_F3);
+        let spec = NetSpec::new(src, vec![sink, Pin::new(200, 200, wire::S0_F3)]);
+        let terminals = [src, sink].map(|p| dev.canonicalize(p.rc, p.wire).unwrap());
+        // Only the terminals are free: the first sink has no path.
+        let obs = Recorder::enabled();
+        let r = route_free(
+            &dev,
+            &spec,
+            &MazeConfig::default(),
+            |seg| !terminals.contains(&seg),
+            &obs,
+        );
+        assert_eq!(r.net.unwrap_err(), RouteFail::BadWire);
+        assert_eq!(obs.report().counter("maze.searches").unwrap_or(0), 0);
+    }
+
+    #[test]
+    fn a_bounded_miss_regrows_the_whole_net_over_the_device() {
+        let dev = Device::new(Family::Xcv300);
+        let (src, sink) = (Pin::new(16, 10, wire::S0_YQ), Pin::new(16, 20, wire::S0_F3));
+        let spec = NetSpec::new(src, vec![sink]);
+        let region = net_search_box(&dev, &spec);
+        assert!(!region.covers(dev.dims()));
+        // Inside the region only the source and sink columns are free,
+        // and no single or hex joins them there: the net must leave the
+        // region (long lines, which ignore it, are off).
+        let wall = |seg: Segment| {
+            region.contains(seg.rc) && seg.rc.col != src.rc.col && seg.rc.col != sink.rc.col
+        };
+        let maze = MazeConfig {
+            use_long_lines: false,
+            ..Default::default()
+        };
+        let obs = Recorder::enabled();
+        let r = route_free(&dev, &spec, &maze, wall, &obs);
+        assert_eq!(r.region, None, "the net fell back to the whole device");
+        assert_eq!(obs.report().counter("parallel.bbox_fallbacks"), Some(1));
+        let net = r.net.expect("a detour outside the region exists");
+        assert!(net.segments.iter().any(|s| !region.contains(s.rc)));
+        assert!(net.segments.iter().all(|&s| !wall(s)));
+        // Pinning the region forbids the fallback.
+        let pinned = MazeConfig {
+            bbox: Some(region),
+            ..maze
+        };
+        let r = route_free(&dev, &spec, &pinned, wall, &Recorder::disabled());
+        assert_eq!(r.net.unwrap_err(), RouteFail::NoPath);
+        assert_eq!(r.region, Some(region));
     }
 
     #[test]

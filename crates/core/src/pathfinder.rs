@@ -356,7 +356,8 @@ fn next_pres_fac(pres_fac: u32, cfg: &PathFinderConfig, overused: usize, prev: u
     next.min(PRES_FAC_MAX)
 }
 
-/// A routed net produced by the negotiated router.
+/// A routed net, produced by the negotiated router and by the ordered
+/// engine ([`crate::parallel`]) alike.
 #[derive(Debug, Clone)]
 pub struct RoutedNet {
     /// The net as requested.
@@ -687,7 +688,8 @@ pub fn route_all_obs(
 /// [`RoutedNet::sink_delays`] — refreshed only for nets the dirty set
 /// rerouted, so the expensive part of the pass rides rip-up activity,
 /// not design size. Unrouted nets (and iteration 0, before any delays
-/// exist) get empty rows, which read as criticality zero.
+/// exist) get empty rows, which read as the maze config's `crit` (zero
+/// unless the caller sets it).
 fn compute_crits(routes: &[Option<RoutedNet>], tcfg: &TimingConfig) -> Vec<Vec<u32>> {
     let max_ps = routes
         .iter()

@@ -303,9 +303,9 @@ impl Router {
     pub fn route_pip(&mut self, rc: RowCol, from: Wire, to: Wire) -> Result<()> {
         let _span = self.obs.span("router.route_pip");
         let from_seg = self.seg(rc, from)?;
-        let net = self.net_for_source(Pin::at(rc, from), from_seg)?;
-        self.route_pip_on_net(net, rc, from, to)?;
-        Ok(())
+        self.net_for_source(Pin::at(rc, from), from_seg, |r, net| {
+            r.route_pip_on_net(net, rc, from, to).map(drop)
+        })
     }
 
     /// Paper-flavoured convenience: `route(row, col, from, to)`.
@@ -313,13 +313,27 @@ impl Router {
         self.route_pip(RowCol::new(row, col), from, to)
     }
 
-    fn net_for_source(&mut self, pin: Pin, seg: Segment) -> Result<NetId> {
+    /// Run `configure` on the net that owns the source segment `seg`,
+    /// creating a net rooted at `pin` when none does. A net created here
+    /// that a failed call leaves without a PIP is removed again, so a
+    /// call that configures nothing leaves no empty net behind.
+    fn net_for_source(
+        &mut self,
+        pin: Pin,
+        seg: Segment,
+        configure: impl FnOnce(&mut Self, NetId) -> Result<()>,
+    ) -> Result<()> {
         if let Some(id) = self.nets.owner(seg) {
-            return Ok(id);
+            return configure(self, id);
         }
         let id = self.nets.create(pin, seg)?;
-        self.stats.nets_created += 1;
-        Ok(id)
+        let done = configure(self, id);
+        if done.is_err() && self.nets.net(id).is_some_and(|n| n.pips.is_empty()) {
+            self.nets.remove_net(id);
+        } else {
+            self.stats.nets_created += 1;
+        }
+        done
     }
 
     /// Contention-checked PIP set on behalf of `net`. Returns whether the
@@ -414,25 +428,26 @@ impl Router {
             return Ok(());
         }
         let mut cur = self.seg(path.start(), wires[0])?;
-        let net = self.net_for_source(Pin::at(path.start(), wires[0]), cur)?;
-        let mut taps: Vec<Tap> = Vec::with_capacity(4);
-        for &next in &wires[1..] {
-            taps.clear();
-            virtex::segment::taps(self.device.dims(), cur, &mut taps);
-            let arch = *self.device.arch();
-            let hop = taps
-                .iter()
-                .find(|t| arch.pip_exists(t.rc, t.wire, next))
-                .copied()
-                .ok_or(RouteError::PathDisconnected {
-                    at: cur.rc,
-                    from: cur.wire,
-                    to: next,
-                })?;
-            self.route_pip_on_net(net, hop.rc, hop.wire, next)?;
-            cur = self.seg(hop.rc, next)?;
-        }
-        Ok(())
+        self.net_for_source(Pin::at(path.start(), wires[0]), cur, |r, net| {
+            let mut taps: Vec<Tap> = Vec::with_capacity(4);
+            for &next in &wires[1..] {
+                taps.clear();
+                virtex::segment::taps(r.device.dims(), cur, &mut taps);
+                let arch = *r.device.arch();
+                let hop = taps
+                    .iter()
+                    .find(|t| arch.pip_exists(t.rc, t.wire, next))
+                    .copied()
+                    .ok_or(RouteError::PathDisconnected {
+                        at: cur.rc,
+                        from: cur.wire,
+                        to: next,
+                    })?;
+                r.route_pip_on_net(net, hop.rc, hop.wire, next)?;
+                cur = r.seg(hop.rc, next)?;
+            }
+            Ok(())
+        })
     }
 
     // ----------------------------------------------------------------
@@ -454,14 +469,15 @@ impl Router {
             .end_tile(start.rc, self.device.dims())
             .ok_or(RouteError::TemplateOffChip)?;
         let goal = self.seg(end_rc, end_wire)?;
-        let net = self.net_for_source(start, start_seg)?;
-        self.stats.template_attempts += 1;
-        let pips = self
-            .template_search(start_seg, goal, template)
-            .ok_or(RouteError::TemplateExhausted)?;
-        self.commit_pips(net, &pips)?;
-        self.stats.template_successes += 1;
-        Ok(())
+        self.net_for_source(start, start_seg, |r, net| {
+            r.stats.template_attempts += 1;
+            let pips = r
+                .template_search(start_seg, goal, template)
+                .ok_or(RouteError::TemplateExhausted)?;
+            r.commit_pips(net, &pips)?;
+            r.stats.template_successes += 1;
+            Ok(())
+        })
     }
 
     /// Depth-first template matcher, per §3.1: at each step consider the
@@ -508,15 +524,14 @@ impl Router {
         let src_pins = self.resolve(source)?;
         let sink_pins = self.resolve(sink)?;
         let src = src_pins[0];
-        let net = {
-            let seg = self.seg(src.rc, src.wire)?;
-            self.net_for_source(src, seg)?
-        };
-        for s in &sink_pins {
-            self.route_one(net, src, *s, self.opts.use_templates_first)?;
-        }
-        self.nets.add_intent(net, *source, *sink);
-        Ok(())
+        let seg = self.seg(src.rc, src.wire)?;
+        self.net_for_source(src, seg, |r, net| {
+            for s in &sink_pins {
+                r.route_one(net, src, *s, r.opts.use_templates_first)?;
+            }
+            r.nets.add_intent(net, *source, *sink);
+            Ok(())
+        })
     }
 
     /// Auto-route one source to several sinks
@@ -542,20 +557,21 @@ impl Router {
         }
         resolved.sort_by_key(|(pin, _)| pin.rc.manhattan(src.rc));
         let src_seg = self.seg(src.rc, src.wire)?;
-        let net = self.net_for_source(src, src_seg)?;
-        let mut goals = Vec::with_capacity(resolved.len());
-        for (pin, _) in &resolved {
-            let goal = self.seg(pin.rc, pin.wire)?;
-            if !self.sink_reached(net, goal)? && !goals.contains(&goal) {
-                goals.push(goal);
+        self.net_for_source(src, src_seg, |r, net| {
+            let mut goals = Vec::with_capacity(resolved.len());
+            for (pin, _) in &resolved {
+                let goal = r.seg(pin.rc, pin.wire)?;
+                if !r.sink_reached(net, goal)? && !goals.contains(&goal) {
+                    goals.push(goal);
+                }
             }
-        }
-        self.grow_net(net, src_seg, &goals)?;
-        for (pin, ep) in resolved {
-            self.nets.add_sink(net, pin);
-            self.nets.add_intent(net, *source, ep);
-        }
-        Ok(())
+            r.grow_net(net, src_seg, &goals)?;
+            for (pin, ep) in resolved {
+                r.nets.add_sink(net, pin);
+                r.nets.add_intent(net, *source, ep);
+            }
+            Ok(())
+        })
     }
 
     /// Bus routing (`route(EndPoint[], EndPoint[])`): connect
@@ -974,6 +990,7 @@ mod tests {
         r.route(&Pin::new(2, 16, wire::S1_YQ).into(), &taken)
             .unwrap();
         let (pips, searches) = (r.bits().on_pip_count(), r.stats().maze_searches);
+        let (nets, created) = (r.nets().len(), r.stats().nets_created);
         let src: EndPoint = Pin::new(4, 4, wire::S0_YQ).into();
         let sinks: Vec<EndPoint> = vec![
             Pin::new(4, 8, wire::S0_F3).into(),
@@ -984,6 +1001,12 @@ mod tests {
         assert!(matches!(err, RouteError::ResourceInUse { .. }), "{err:?}");
         assert_eq!(r.bits().on_pip_count(), pips, "no branch was left behind");
         assert_eq!(r.stats().maze_searches, searches, "nothing was searched");
+        assert_eq!(r.nets().len(), nets, "no empty net was left behind");
+        assert_eq!(r.stats().nets_created, created);
+        let err = r.route(&src, &taken).unwrap_err();
+        assert!(matches!(err, RouteError::ResourceInUse { .. }), "{err:?}");
+        assert_eq!(r.nets().len(), nets);
+        assert_eq!(r.stats().nets_created, created);
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //! - PathFinder grows every net at its per-sink criticalities against
 //!   a frozen congestion snapshot;
 //! - `jroute_timing::route_fanout_timing_driven` grows at [`CRIT_ONE`]
-//!   from the bitstream readback of the tree.
+//!   from the bitstream readback of the tree;
+//! - the ordered engine's [`route_net`](crate::parallel::route_net)
+//!   grows every net of `route_parallel` and the batch service from its
+//!   source, around the committed nets, at the maze config's `crit`.
+//!
+//! A goal with no per-goal criticality searches at `cfg.crit`, so a
+//! caller that prices every sink alike passes no criticalities at all.
 //!
 //! `grow` is a pure function of its inputs (device, seed, congestion
 //! snapshot, criticalities): it takes its scratch from the caller
@@ -85,8 +91,8 @@ fn graft_arrival(dev: &Device, arrivals: &HashMap<Segment, u64>, r: &mut MazeRes
 /// picoseconds. A goal already on the tree (in the seed, reached by an
 /// earlier leg, or named twice) costs no search; its delay is read from
 /// the tree. `crits` holds per-goal criticalities in [`CRIT_ONE`]
-/// fixed-point units (missing entries read as zero); each leg searches
-/// at its goal's criticality in place of `cfg.crit`.
+/// fixed-point units; each leg searches at its goal's criticality in
+/// place of `cfg.crit`, and a goal with no entry reads `cfg.crit`.
 ///
 /// Returns `Err(i)` when goal `i`'s leg is unroutable under `cfg`;
 /// callers retry unbounded or report the miss, as for single-sink
@@ -125,7 +131,7 @@ pub fn grow(
             out.sink_delays[i] = at;
             continue;
         }
-        let crit = crits.get(i).copied().unwrap_or(0).min(CRIT_ONE);
+        let crit = crits.get(i).copied().unwrap_or(cfg.crit).min(CRIT_ONE);
         starts.clear();
         starts.extend(tree.iter().map(|&(seg, ps)| (seg, start_cost(crit, ps))));
         let leg_cfg = MazeConfig {

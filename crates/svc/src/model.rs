@@ -3,7 +3,9 @@
 //! [`SequentialModel`] executes *successful* requests one at a time
 //! against a plain [`NetDb`] — no waves, no threads, no frozen searches —
 //! with the per-net search policy the service uses
-//! ([`jroute::parallel::route_net`]). Every service batch is a
+//! ([`jroute::parallel::route_net`]: every terminal checked, then one
+//! `steiner::grow` call in the net's region and, on a miss, one over
+//! the device). Every service batch is a
 //! serialization in `(priority, submission)` order at any worker count,
 //! so replaying a batch's log through the model must reproduce the
 //! service's net database bit-for-bit: same nets, same `NetId`s, same

@@ -53,6 +53,13 @@ pub fn route_fanout_timing_driven(
         // weight 1 each leg is provably minimum-arrival (the delay
         // lookahead is admissible).
         heuristic_weight: 1,
+        // `crit = CRIT_ONE` puts the shared maze cost blend at the
+        // pure-delay endpoint: every expansion is charged
+        // `delay_units(wire)` and the lookahead switches to its delay
+        // tables — the same cost the criticality-driven PathFinder
+        // converges to for its most critical sinks, so this router and
+        // `pathfinder` price wires identically.
+        crit: CRIT_ONE,
         ..Default::default()
     };
 
@@ -89,13 +96,7 @@ pub fn route_fanout_timing_driven(
             &dev,
             &seed,
             &goals,
-            // `crit = CRIT_ONE` puts the shared maze cost blend at the
-            // pure-delay endpoint: every expansion is charged
-            // `delay_units(wire)` and the lookahead switches to its delay
-            // tables — the same cost the criticality-driven PathFinder
-            // converges to for its most critical sinks, so this router
-            // and `pathfinder` price wires identically.
-            &vec![CRIT_ONE; goals.len()],
+            &[],
             &cfg,
             // Any driven or claimed wire cannot take a second driving
             // PIP (§3.4); tree reuse happens through the start set,

@@ -16,11 +16,9 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod crit;
 pub mod delay;
 pub mod driven;
 
 pub use analysis::{analyze_net, NetTiming};
-pub use crit::CriticalityTable;
 pub use delay::{delay_units, wire_delay_ps, PIP_DELAY_PS, PS_PER_COST};
 pub use driven::route_fanout_timing_driven;

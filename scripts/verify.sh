@@ -121,6 +121,14 @@ grep -q "refused with QueueFull" /tmp/multi_tenant_server.out
 grep -q 'jroute_svc_server_submitted{tenant="2"}' /tmp/multi_tenant_server.out
 grep -q "multi_tenant_server: OK" /tmp/multi_tenant_server.out
 
+echo "==> example smoke: route_service (batch service through the engine; replay across widths)"
+cargo run --release --offline --example route_service | tee /tmp/route_service.out
+grep -q "deterministic replay: commit logs and states identical" /tmp/route_service.out
+
+echo "==> example smoke: parallel_routing (route_parallel at 1, 2, 4 and 8 threads)"
+cargo run --release --offline --example parallel_routing | tee /tmp/parallel_routing.out
+grep -q "all thread counts produced contention-free configurations" /tmp/parallel_routing.out
+
 echo "==> example smoke: quickstart (with observability enabled)"
 rm -f target/obs-json/OBS_quickstart.json
 JROUTE_OBS=1 cargo run --release --offline --example quickstart
