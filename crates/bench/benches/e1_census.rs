@@ -6,7 +6,7 @@
 
 use harness::{bench_group, bench_main, BatchSize, Bench};
 use virtex::wire::{self, HEXES_PER_DIR, NUM_GCLK, NUM_LONG, SINGLES_PER_DIR};
-use virtex::{Device, Dir, Family, RowCol, Wire};
+use virtex::{Device, Dir, Family, RowCol, Segment, Wire};
 
 fn census() {
     eprintln!("\n=== E1: architecture census (paper §2) ===");
@@ -64,6 +64,22 @@ fn bench(c: &mut Bench) {
             },
             BatchSize::SmallInput,
         )
+    });
+    // The maze's view of the same tile: every segment the tile owns,
+    // expanded through the interconnect table (all taps' PIP edges).
+    let owned: Vec<Segment> = Wire::all()
+        .filter_map(|w| dev.canonicalize(rc, w))
+        .filter(|s| s.rc == rc)
+        .collect();
+    let ic = dev.interconnect();
+    c.bench_function("e1/adjacency_table_full_tile", |b| {
+        b.iter(|| {
+            let mut n = 0u32;
+            for &seg in &owned {
+                ic.for_each_edge(seg, |e| n += e.cost);
+            }
+            n
+        })
     });
     c.bench_function("e1/canonicalize_full_tile", |b| {
         b.iter(|| {

@@ -14,9 +14,16 @@
 //! possible"*, §3.1): every segment already on the net is offered as a
 //! zero-cost start.
 //!
+//! Expansion walks the per-device [`Interconnect`] table: each canonical
+//! wire's PIP edges, listed once per geometry with their targets' index
+//! deltas and entry prices, in the order the tap/PIP generator emits them
+//! (so the open list breaks ties exactly as the generator would).
+//! Long-line and global-clock origins still go through the generator.
+//!
 //! Scratch state (visited/cost/parent arrays over the dense segment index
 //! space) is epoch-stamped and reused across searches, so a search
-//! allocates nothing after warm-up.
+//! allocates nothing after warm-up beyond the generator's tap buffers
+//! when it expands a long line.
 //!
 //! Queue keys are `g + w·h` with `h` served by the per-device
 //! [`Lookahead`] table: an admissible lower bound on remaining cost
@@ -39,8 +46,7 @@ use crate::dial::DialQueue;
 use jbits::Pip;
 use jroute_obs::{Counter, Histo, Recorder};
 use virtex::lookahead::Lookahead;
-use virtex::segment::Tap;
-use virtex::{BBox, Device, RowCol, SegIdx, Segment, Wire, WireKind};
+use virtex::{BBox, Device, Interconnect, RowCol, SegIdx, Segment, Wire};
 
 /// Tuning knobs for a maze search.
 #[derive(Debug, Clone)]
@@ -140,6 +146,9 @@ pub struct MazeScratch {
     /// Per-device distance lookahead, resolved once at construction so
     /// the per-pop heuristic is two table reads (no locks, no rebuild).
     la: &'static Lookahead,
+    /// Per-device interconnect table, resolved next to `la`: the edges
+    /// each expansion walks.
+    ic: &'static Interconnect,
     /// Typed metric handles cached per recorder (keyed by
     /// [`Recorder::id`]), so a search records through lock-free sharded
     /// atomics instead of string-keyed map lookups. A scratch handed a
@@ -156,7 +165,6 @@ struct MazeMeters {
     pushes: Counter,
     pops: Counter,
     prunes: Counter,
-    h_evals: Counter,
     expanded: Histo,
 }
 
@@ -169,7 +177,6 @@ impl MazeMeters {
             pushes: obs.counter("maze.open_pushes"),
             pops: obs.counter("maze.open_pops"),
             prunes: obs.counter("maze.bbox_prunes"),
-            h_evals: obs.counter("maze.lookahead_evals"),
             expanded: obs.histogram("maze.nodes_expanded"),
         }
     }
@@ -230,6 +237,7 @@ impl MazeScratch {
             link: vec![0; n],
             open: DialQueue::new(),
             la: dev.lookahead(),
+            ic: dev.interconnect(),
             meters: None,
         }
     }
@@ -361,8 +369,7 @@ pub fn search_obs(
     let m = scratch.meters_for(obs).clone();
     let dims = dev.dims();
     let space = dev.seg_space();
-    let arch = dev.arch();
-    let la = scratch.la;
+    let (la, ic) = (scratch.la, scratch.ic);
     let longs = cfg.use_long_lines;
     let hw = cfg.heuristic_weight.max(1);
     let crit = cfg.crit.min(CRIT_ONE);
@@ -385,7 +392,6 @@ pub fn search_obs(
     let mut pushes = 0u64;
     let mut pops = 0u64;
     let mut prunes = 0u64;
-    let mut h_evals = 0u64;
     for &(seg, c0) in starts {
         let i = space.index(seg);
         if !scratch.seen(i) || scratch.cost(i) > c0 {
@@ -401,18 +407,14 @@ pub fn search_obs(
             );
             scratch.open.push(c0 + hw * est(seg), i.0);
             pushes += 1;
-            h_evals += 1;
         }
     }
 
-    let mut taps: Vec<Tap> = Vec::with_capacity(4);
-    let mut fanout: Vec<Wire> = Vec::with_capacity(40);
     let mut expanded = 0usize;
     let finish = |expanded: usize,
                   pushes: u64,
                   pops: u64,
                   prunes: u64,
-                  h_evals: u64,
                   span: &mut jroute_obs::Span,
                   found: bool| {
         span.note(expanded as u64);
@@ -423,7 +425,6 @@ pub fn search_obs(
         m.pushes.add(pushes);
         m.pops.add(pops);
         m.prunes.add(prunes);
-        m.h_evals.add(h_evals);
         m.expanded.record(expanded as u64);
     };
 
@@ -431,7 +432,7 @@ pub fn search_obs(
         pops += 1;
         let idx = SegIdx(raw);
         if idx == goal_idx {
-            finish(expanded, pushes, pops, prunes, h_evals, &mut span, true);
+            finish(expanded, pushes, pops, prunes, &mut span, true);
             return Some(reconstruct(dev, scratch, idx, expanded));
         }
         // Skip entries already expanded at their current (or better)
@@ -443,69 +444,57 @@ pub fn search_obs(
         let g = scratch.cost(idx);
         expanded += 1;
         if expanded > cfg.max_nodes {
-            finish(expanded, pushes, pops, prunes, h_evals, &mut span, false);
+            finish(expanded, pushes, pops, prunes, &mut span, false);
             return None;
         }
 
-        taps.clear();
-        virtex::segment::taps(dims, seg, &mut taps);
-        for &tap in &taps {
-            fanout.clear();
-            arch.pips_from(tap.rc, tap.wire, &mut fanout);
-            for &to in &fanout {
-                // Only the goal pin may be a CLB input.
-                let Some(next) = dev.canonicalize(tap.rc, to) else {
-                    continue;
-                };
-                let ni = space.index(next);
-                if ni == idx {
-                    continue;
-                }
-                if to.is_clb_input() && ni != goal_idx {
-                    continue;
-                }
-                let is_long = matches!(next.wire.kind(), WireKind::LongH(_) | WireKind::LongV(_));
-                if !longs && is_long {
-                    continue;
-                }
-                if ni != goal_idx {
-                    if let Some(b) = bbox {
-                        // Long lines are exempt: their canonical origin
-                        // says little about where they are usable.
-                        if !is_long && !b.contains(next.rc) {
-                            prunes += 1;
-                            continue;
-                        }
-                    }
-                    if blocked(next) {
-                        continue;
+        ic.for_each_edge(seg, |e| {
+            if e.idx == idx {
+                return;
+            }
+            // Only the goal pin may be a CLB input.
+            if e.clb_input && e.idx != goal_idx {
+                return;
+            }
+            if !longs && e.long {
+                return;
+            }
+            if e.idx != goal_idx {
+                if let Some(b) = bbox {
+                    // Long lines are exempt: their canonical origin says
+                    // little about where they are usable.
+                    if !e.long && !b.contains(e.seg.rc) {
+                        prunes += 1;
+                        return;
                     }
                 }
-                let step = la.model().wire_cost(next.wire) + extra_cost(next);
-                let ng = if crit == 0 {
-                    g + step
-                } else {
-                    g + blend(crit, step, virtex::delay::delay_units(next.wire))
-                };
-                if !scratch.seen(ni) || scratch.cost(ni) > ng {
-                    scratch.record(
-                        ni,
-                        ng,
-                        PrevEntry {
-                            start: false,
-                            rc: tap.rc,
-                            from: tap.wire,
-                            to,
-                        },
-                    );
-                    scratch.open.push(ng + hw * est(next), ni.0);
-                    pushes += 1;
-                    h_evals += 1;
+                if blocked(e.seg) {
+                    return;
                 }
             }
-        }
+            let step = e.cost + extra_cost(e.seg);
+            let ng = if crit == 0 {
+                g + step
+            } else {
+                g + blend(crit, step, e.delay)
+            };
+            if !scratch.seen(e.idx) || scratch.cost(e.idx) > ng {
+                scratch.record(
+                    e.idx,
+                    ng,
+                    PrevEntry {
+                        start: false,
+                        rc: e.rc,
+                        from: e.from,
+                        to: e.to,
+                    },
+                );
+                scratch.open.push(ng + hw * est(e.seg), e.idx.0);
+                pushes += 1;
+            }
+        });
     }
-    finish(expanded, pushes, pops, prunes, h_evals, &mut span, false);
+    finish(expanded, pushes, pops, prunes, &mut span, false);
     None
 }
 
@@ -548,7 +537,7 @@ fn reconstruct(
 mod tests {
     use super::*;
     use crate::endpoint::Pin;
-    use virtex::{wire, Device, Family};
+    use virtex::{wire, Device, Family, WireKind};
 
     fn dev() -> Device {
         Device::new(Family::Xcv50)

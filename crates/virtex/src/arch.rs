@@ -77,144 +77,11 @@ impl Arch {
         if !segment::wire_exists(self.dims, rc, from) {
             return;
         }
-        let dims = self.dims;
-        let push = |w: Wire, out: &mut Vec<Wire>| {
-            if segment::wire_exists(dims, rc, w) {
+        pip_candidates(from, |w| {
+            if segment::wire_exists(self.dims, rc, w) {
                 out.push(w);
             }
-        };
-        match from.kind() {
-            WireKind::SliceOut { slice, pin } => {
-                let k = (slice * 4 + pin) as usize;
-                // Each output reaches two OMUX lines: OUT[k] and OUT[k+2].
-                push(wire::out(k % NUM_OUT), out);
-                push(wire::out((k + 2) % NUM_OUT), out);
-                push(wire::direct_e(k), out);
-                push(wire::feedback(k), out);
-            }
-            WireKind::Out(j) => {
-                let j = j as usize;
-                for d in Dir::ALL {
-                    let di = d.index();
-                    // OUT[j] drives singles {3j+2d, +8, +16} (mod 24) ...
-                    for off in [0usize, 8, 16] {
-                        push(
-                            wire::single(d, (3 * j + 2 * di + off) % SINGLES_PER_DIR),
-                            out,
-                        );
-                    }
-                    // ... and hexes {j+d, +4, +8} (mod 12), at their origin.
-                    for off in [0usize, 4, 8] {
-                        let i = (j + di + off) % HEXES_PER_DIR;
-                        push(wire::hex(d, i), out);
-                        // Bi-directional hexes can also be driven at their
-                        // far endpoint.
-                        if hex_is_bidir(i as u8) {
-                            push(wire::hex_end(d, i), out);
-                        }
-                    }
-                }
-                // Long lines at access tiles ("outputs drive all length
-                // interconnects").
-                push(wire::long_h(j % NUM_LONG), out);
-                push(wire::long_h((j + 6) % NUM_LONG), out);
-                push(wire::long_v((j + 3) % NUM_LONG), out);
-                push(wire::long_v((j + 9) % NUM_LONG), out);
-            }
-            WireKind::SingleEnd { dir, idx } => {
-                let (i, di) = (idx as usize, dir.index());
-                // Singles drive logic-block inputs ...
-                for k in 0..4usize {
-                    let p = (7 * i + 3 * di + k) % NUM_SLICE_IN;
-                    push(
-                        wire::slice_in(p / INPUTS_PER_SLICE, (p % INPUTS_PER_SLICE) as u8),
-                        out,
-                    );
-                }
-                // ... other singles ...
-                for d2 in Dir::ALL {
-                    let d2i = d2.index();
-                    push(wire::single(d2, (i + 19 + d2i) % SINGLES_PER_DIR), out);
-                    push(wire::single(d2, (i + 7 + d2i) % SINGLES_PER_DIR), out);
-                }
-                // ... and vertical long lines.
-                push(wire::long_v((i + di) % NUM_LONG), out);
-            }
-            WireKind::HexMid { dir, idx } | WireKind::HexEnd { dir, idx } => {
-                self.hex_tap_fanout(rc, dir, idx, out);
-            }
-            WireKind::Hex { dir, idx } => {
-                // The origin tap fans out only on bi-directional hexes
-                // (signal may have been driven at the far endpoint).
-                if hex_is_bidir(idx) {
-                    self.hex_tap_fanout(rc, dir, idx, out);
-                }
-            }
-            WireKind::LongH(i) | WireKind::LongV(i) => {
-                let i = i as usize;
-                // Longs can drive hexes only.
-                for d in Dir::ALL {
-                    let di = d.index();
-                    let t = (i + di) % HEXES_PER_DIR;
-                    push(wire::hex(d, t), out);
-                    if hex_is_bidir(t as u8) {
-                        push(wire::hex_end(d, t), out);
-                    }
-                }
-            }
-            WireKind::DirectWEnd(i) => {
-                for k in 0..3usize {
-                    let p = (3 * i as usize + k) % NUM_SLICE_IN;
-                    push(
-                        wire::slice_in(p / INPUTS_PER_SLICE, (p % INPUTS_PER_SLICE) as u8),
-                        out,
-                    );
-                }
-            }
-            WireKind::Feedback(i) => {
-                for k in 0..3usize {
-                    let p = (3 * i as usize + 13 + k) % NUM_SLICE_IN;
-                    push(
-                        wire::slice_in(p / INPUTS_PER_SLICE, (p % INPUTS_PER_SLICE) as u8),
-                        out,
-                    );
-                }
-            }
-            WireKind::Gclk(_) => {
-                // Dedicated global nets drive only clock pins.
-                push(wire::slice_in(0, wire::slice_in_pin::CLK), out);
-                push(wire::slice_in(1, wire::slice_in_pin::CLK), out);
-            }
-            // Signals leave these names at other taps; no local fan-out.
-            WireKind::SliceIn { .. } | WireKind::Single { .. } | WireKind::DirectE(_) => {}
-        }
-    }
-
-    /// Fan-out shared by hex mid/end taps (and origin taps of
-    /// bi-directional hexes): singles and other hexes (paper §2).
-    fn hex_tap_fanout(&self, rc: RowCol, _dir: Dir, idx: u8, out: &mut Vec<Wire>) {
-        let dims = self.dims;
-        let i = idx as usize;
-        let push = |w: Wire, out: &mut Vec<Wire>| {
-            if segment::wire_exists(dims, rc, w) {
-                out.push(w);
-            }
-        };
-        for d2 in Dir::ALL {
-            let d2i = d2.index();
-            push(wire::single(d2, (2 * i + d2i) % SINGLES_PER_DIR), out);
-            push(wire::single(d2, (2 * i + d2i + 12) % SINGLES_PER_DIR), out);
-            let h1 = (i + 3 + d2i) % HEXES_PER_DIR;
-            let h2 = (i + 9 + d2i) % HEXES_PER_DIR;
-            push(wire::hex(d2, h1), out);
-            push(wire::hex(d2, h2), out);
-            if hex_is_bidir(h1 as u8) {
-                push(wire::hex_end(d2, h1), out);
-            }
-            if hex_is_bidir(h2 as u8) {
-                push(wire::hex_end(d2, h2), out);
-            }
-        }
+        });
     }
 
     /// Whether the GRM at `rc` contains a PIP connecting `from` to `to`.
@@ -330,6 +197,137 @@ impl Arch {
     #[inline]
     pub fn is_long_v_access(&self, rc: RowCol) -> bool {
         rc.row.is_multiple_of(LONG_ACCESS)
+    }
+}
+
+/// Every wire `from` can drive through a PIP, before the existence
+/// filter. The GRM pattern is the same at every tile: [`Arch::pips_from`]
+/// keeps the targets that exist at its tile, and the interconnect table
+/// ([`crate::interconnect`]) stores them with the window each one needs.
+/// Both rely on the order targets come out in here.
+pub(crate) fn pip_candidates(from: Wire, mut push: impl FnMut(Wire)) {
+    match from.kind() {
+        WireKind::SliceOut { slice, pin } => {
+            let k = (slice * 4 + pin) as usize;
+            // Each output reaches two OMUX lines: OUT[k] and OUT[k+2].
+            push(wire::out(k % NUM_OUT));
+            push(wire::out((k + 2) % NUM_OUT));
+            push(wire::direct_e(k));
+            push(wire::feedback(k));
+        }
+        WireKind::Out(j) => {
+            let j = j as usize;
+            for d in Dir::ALL {
+                let di = d.index();
+                // OUT[j] drives singles {3j+2d, +8, +16} (mod 24) ...
+                for off in [0usize, 8, 16] {
+                    push(wire::single(d, (3 * j + 2 * di + off) % SINGLES_PER_DIR));
+                }
+                // ... and hexes {j+d, +4, +8} (mod 12), at their origin.
+                for off in [0usize, 4, 8] {
+                    let i = (j + di + off) % HEXES_PER_DIR;
+                    push(wire::hex(d, i));
+                    // Bi-directional hexes can also be driven at their
+                    // far endpoint.
+                    if hex_is_bidir(i as u8) {
+                        push(wire::hex_end(d, i));
+                    }
+                }
+            }
+            // Long lines at access tiles ("outputs drive all length
+            // interconnects").
+            push(wire::long_h(j % NUM_LONG));
+            push(wire::long_h((j + 6) % NUM_LONG));
+            push(wire::long_v((j + 3) % NUM_LONG));
+            push(wire::long_v((j + 9) % NUM_LONG));
+        }
+        WireKind::SingleEnd { dir, idx } => {
+            let (i, di) = (idx as usize, dir.index());
+            // Singles drive logic-block inputs ...
+            for k in 0..4usize {
+                let p = (7 * i + 3 * di + k) % NUM_SLICE_IN;
+                push(wire::slice_in(
+                    p / INPUTS_PER_SLICE,
+                    (p % INPUTS_PER_SLICE) as u8,
+                ));
+            }
+            // ... other singles ...
+            for d2 in Dir::ALL {
+                let d2i = d2.index();
+                push(wire::single(d2, (i + 19 + d2i) % SINGLES_PER_DIR));
+                push(wire::single(d2, (i + 7 + d2i) % SINGLES_PER_DIR));
+            }
+            // ... and vertical long lines.
+            push(wire::long_v((i + di) % NUM_LONG));
+        }
+        WireKind::HexMid { idx, .. } | WireKind::HexEnd { idx, .. } => {
+            hex_tap_fanout(idx, &mut push);
+        }
+        WireKind::Hex { idx, .. } => {
+            // The origin tap fans out only on bi-directional hexes
+            // (signal may have been driven at the far endpoint).
+            if hex_is_bidir(idx) {
+                hex_tap_fanout(idx, &mut push);
+            }
+        }
+        WireKind::LongH(i) | WireKind::LongV(i) => {
+            let i = i as usize;
+            // Longs can drive hexes only.
+            for d in Dir::ALL {
+                let di = d.index();
+                let t = (i + di) % HEXES_PER_DIR;
+                push(wire::hex(d, t));
+                if hex_is_bidir(t as u8) {
+                    push(wire::hex_end(d, t));
+                }
+            }
+        }
+        WireKind::DirectWEnd(i) => {
+            for k in 0..3usize {
+                let p = (3 * i as usize + k) % NUM_SLICE_IN;
+                push(wire::slice_in(
+                    p / INPUTS_PER_SLICE,
+                    (p % INPUTS_PER_SLICE) as u8,
+                ));
+            }
+        }
+        WireKind::Feedback(i) => {
+            for k in 0..3usize {
+                let p = (3 * i as usize + 13 + k) % NUM_SLICE_IN;
+                push(wire::slice_in(
+                    p / INPUTS_PER_SLICE,
+                    (p % INPUTS_PER_SLICE) as u8,
+                ));
+            }
+        }
+        WireKind::Gclk(_) => {
+            // Dedicated global nets drive only clock pins.
+            push(wire::slice_in(0, wire::slice_in_pin::CLK));
+            push(wire::slice_in(1, wire::slice_in_pin::CLK));
+        }
+        // Signals leave these names at other taps; no local fan-out.
+        WireKind::SliceIn { .. } | WireKind::Single { .. } | WireKind::DirectE(_) => {}
+    }
+}
+
+/// Fan-out shared by hex mid/end taps (and origin taps of
+/// bi-directional hexes): singles and other hexes (paper §2).
+fn hex_tap_fanout(idx: u8, push: &mut impl FnMut(Wire)) {
+    let i = idx as usize;
+    for d2 in Dir::ALL {
+        let d2i = d2.index();
+        push(wire::single(d2, (2 * i + d2i) % SINGLES_PER_DIR));
+        push(wire::single(d2, (2 * i + d2i + 12) % SINGLES_PER_DIR));
+        let h1 = (i + 3 + d2i) % HEXES_PER_DIR;
+        let h2 = (i + 9 + d2i) % HEXES_PER_DIR;
+        push(wire::hex(d2, h1));
+        push(wire::hex(d2, h2));
+        if hex_is_bidir(h1 as u8) {
+            push(wire::hex_end(d2, h1));
+        }
+        if hex_is_bidir(h2 as u8) {
+            push(wire::hex_end(d2, h2));
+        }
     }
 }
 

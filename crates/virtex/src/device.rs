@@ -67,6 +67,14 @@ impl Device {
         crate::lookahead::Lookahead::get(self.dims())
     }
 
+    /// The interconnect table for this device's geometry: every canonical
+    /// segment's PIP edges (built on first use together with
+    /// [`Device::lookahead`], cached for the process lifetime).
+    #[inline]
+    pub fn interconnect(&self) -> &'static crate::interconnect::Interconnect {
+        crate::interconnect::Interconnect::get(self.dims())
+    }
+
     /// Resolve a local `(tile, wire)` name to its canonical segment.
     #[inline]
     pub fn canonicalize(&self, rc: RowCol, wire: Wire) -> Option<Segment> {

@@ -9,7 +9,8 @@
 //! * what wires exist at a tile ([`wire`], [`segment::wire_exists`]);
 //! * which physical segment a local name refers to ([`segment`]);
 //! * which wire can drive which other wire through a GRM PIP
-//!   ([`arch::Arch`]);
+//!   ([`arch::Arch`]), and each segment's PIP edges listed once per
+//!   geometry ([`interconnect`]);
 //! * how wires classify into template values ([`template`]);
 //! * the Virtex family table ([`family::Family`]).
 //!
@@ -27,6 +28,7 @@ pub mod delay;
 pub mod device;
 pub mod family;
 pub mod geometry;
+pub mod interconnect;
 pub mod lookahead;
 pub mod segment;
 pub mod segspace;
@@ -38,6 +40,7 @@ pub use codec::Codec;
 pub use device::Device;
 pub use family::Family;
 pub use geometry::{BBox, Dims, Dir, RowCol};
+pub use interconnect::{Edge, Interconnect};
 pub use lookahead::{CostModel, Lookahead};
 pub use segment::{Segment, Tap};
 pub use segspace::{SegIdx, SegSpace, SegVec, StampedSegVec};

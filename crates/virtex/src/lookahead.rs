@@ -23,10 +23,12 @@
 //! Tables are built once per device geometry and cached in a global
 //! registry keyed by [`Dims`] (the same way [`crate::SegSpace`] is a
 //! cheap pure function of `Dims`), because [`crate::Device`] is `Copy`
-//! and cannot own heap state.
+//! and cannot own heap state. The registry holds each geometry's
+//! [`Interconnect`] table next to its lookahead, and builds both at once.
 
 use crate::delay::delay_units;
 use crate::geometry::{Dims, RowCol};
+use crate::interconnect::Interconnect;
 use crate::segment::Segment;
 use crate::wire::{self, Wire, WireKind, HEX_SPAN, LONG_ACCESS};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,9 +115,9 @@ pub struct Lookahead {
 static TABLE_BUILDS: AtomicU64 = AtomicU64::new(0);
 static TABLE_HITS: AtomicU64 = AtomicU64::new(0);
 
-/// `(builds, cache_hits)` of the global lookahead registry since process
-/// start. Exposed for telemetry: a healthy run builds once per device
-/// geometry and hits thereafter.
+/// `(builds, cache_hits)` of the global per-geometry registry (lookahead
+/// and interconnect tables) since process start. Exposed for telemetry: a
+/// healthy run builds once per device geometry and hits thereafter.
 pub fn cache_stats() -> (u64, u64) {
     (
         TABLE_BUILDS.load(Ordering::Relaxed),
@@ -172,6 +174,29 @@ fn with_direct(plain: &[u32], direct: u32) -> Vec<u32> {
         .collect()
 }
 
+/// The registry behind [`Lookahead::get`] and [`Interconnect::get`]:
+/// both tables of a geometry, built together on its first use and leaked
+/// for the process lifetime.
+pub(crate) fn tables(dims: Dims) -> (&'static Lookahead, &'static Interconnect) {
+    type Entry = (&'static Lookahead, &'static Interconnect);
+    static CACHE: OnceLock<Mutex<Vec<Entry>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
+    let mut guard = cache
+        .lock()
+        .expect("registry lock poisoned: a table build panicked");
+    if let Some(&entry) = guard.iter().find(|(la, _)| la.dims == dims) {
+        TABLE_HITS.fetch_add(1, Ordering::Relaxed);
+        return entry;
+    }
+    TABLE_BUILDS.fetch_add(1, Ordering::Relaxed);
+    let entry: Entry = (
+        Box::leak(Box::new(Lookahead::build(dims))),
+        Box::leak(Box::new(Interconnect::build(dims))),
+    );
+    guard.push(entry);
+    entry
+}
+
 impl Lookahead {
     fn build(dims: Dims) -> Lookahead {
         let model = CostModel::for_dims(dims);
@@ -220,17 +245,7 @@ impl Lookahead {
     /// cached for the process lifetime (device geometries are a small
     /// closed set — one per [`crate::Family`]).
     pub fn get(dims: Dims) -> &'static Lookahead {
-        static CACHE: OnceLock<Mutex<Vec<&'static Lookahead>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-        let mut guard = cache.lock().unwrap();
-        if let Some(la) = guard.iter().find(|la| la.dims == dims) {
-            TABLE_HITS.fetch_add(1, Ordering::Relaxed);
-            return la;
-        }
-        TABLE_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let la: &'static Lookahead = Box::leak(Box::new(Lookahead::build(dims)));
-        guard.push(la);
-        la
+        tables(dims).0
     }
 
     /// The cost model the table lower-bounds.
@@ -268,59 +283,61 @@ impl Lookahead {
         row[dr as usize] + col[dc as usize]
     }
 
-    /// Estimate from `seg` over explicit axis tables: the bound from the
-    /// segment's nearest tap (long lines use their every-
-    /// [`LONG_ACCESS`] access-point pattern).
-    fn est_in(&self, row: &[u32], col: &[u32], seg: Segment, goal: RowCol) -> u32 {
-        let at = |rc: RowCol| {
-            row[rc.row.abs_diff(goal.row) as usize] + col[rc.col.abs_diff(goal.col) as usize]
-        };
+    /// Estimate from `seg` under each of `N` pairs of axis tables, from
+    /// one walk over the segment's taps: the bound from its nearest tap
+    /// (long lines use their every-[`LONG_ACCESS`] access-point pattern).
+    #[inline]
+    fn est_in<const N: usize>(
+        &self,
+        tables: [(&[u32], &[u32]); N],
+        seg: Segment,
+        goal: RowCol,
+    ) -> [u32; N] {
+        let sum = |dr: u16, dc: u16| tables.map(|(row, col)| row[dr as usize] + col[dc as usize]);
+        let at = |rc: RowCol| sum(rc.row.abs_diff(goal.row), rc.col.abs_diff(goal.col));
+        let min = |a: [u32; N], b: [u32; N]| std::array::from_fn(|i| a[i].min(b[i]));
+        let off_access = |g: u16| (g % LONG_ACCESS).min(LONG_ACCESS - g % LONG_ACCESS);
         match seg.wire.kind() {
             WireKind::Single { dir, .. } => {
                 let far = seg.rc.step(dir, 1, self.dims).unwrap_or(seg.rc);
-                at(seg.rc).min(at(far))
+                min(at(seg.rc), at(far))
             }
             WireKind::Hex { dir, .. } => {
                 let mid = seg.rc.step(dir, HEX_SPAN / 2, self.dims).unwrap_or(seg.rc);
                 let end = seg.rc.step(dir, HEX_SPAN, self.dims).unwrap_or(seg.rc);
-                at(seg.rc).min(at(mid)).min(at(end))
+                min(min(at(seg.rc), at(mid)), at(end))
             }
-            WireKind::LongH(_) => {
-                // Reachable every LONG_ACCESS columns along its row.
-                let dr = seg.rc.row.abs_diff(goal.row);
-                let dc = (goal.col % LONG_ACCESS).min(LONG_ACCESS - goal.col % LONG_ACCESS);
-                row[dr as usize] + col[dc as usize]
-            }
-            WireKind::LongV(_) => {
-                let dc = seg.rc.col.abs_diff(goal.col);
-                let dr = (goal.row % LONG_ACCESS).min(LONG_ACCESS - goal.row % LONG_ACCESS);
-                row[dr as usize] + col[dc as usize]
-            }
+            // Reachable every LONG_ACCESS columns along its row.
+            WireKind::LongH(_) => sum(seg.rc.row.abs_diff(goal.row), off_access(goal.col)),
+            WireKind::LongV(_) => sum(off_access(goal.row), seg.rc.col.abs_diff(goal.col)),
             _ => at(seg.rc),
         }
     }
 
     /// Admissible remaining-cost estimate from `seg` to the goal tile.
     pub fn estimate(&self, seg: Segment, goal: RowCol, longs: bool) -> u32 {
-        let (row, col) = self.tables(false, longs);
-        self.est_in(row, col, seg, goal)
+        let [h] = self.est_in([self.tables(false, longs)], seg, goal);
+        h
     }
 
     /// Admissible remaining-*delay* estimate from `seg` to the goal tile,
     /// in [`crate::delay`] cost units.
     pub fn estimate_delay(&self, seg: Segment, goal: RowCol, longs: bool) -> u32 {
-        let (row, col) = self.tables(true, longs);
-        self.est_in(row, col, seg, goal)
+        let [h] = self.est_in([self.tables(true, longs)], seg, goal);
+        h
     }
 
-    /// The (distance-cost, delay) estimate pair in one call — what a
-    /// criticality-blended weighted A* needs per expansion.
+    /// The (distance-cost, delay) estimate pair — what a
+    /// criticality-blended weighted A* needs per push — from one walk
+    /// over `seg`'s taps.
     #[inline]
     pub fn estimate_pair(&self, seg: Segment, goal: RowCol, longs: bool) -> (u32, u32) {
-        (
-            self.estimate(seg, goal, longs),
-            self.estimate_delay(seg, goal, longs),
-        )
+        let [h, d] = self.est_in(
+            [self.tables(false, longs), self.tables(true, longs)],
+            seg,
+            goal,
+        );
+        (h, d)
     }
 }
 
@@ -431,12 +448,66 @@ mod tests {
     }
 
     #[test]
+    fn pair_walk_matches_the_scalar_estimates_on_every_xcv50_segment() {
+        use crate::segment::is_canonical;
+        use crate::Wire;
+        let dims = Family::Xcv50.dims();
+        let la = Lookahead::get(dims);
+        let goals = [
+            RowCol::new(0, 0),
+            RowCol::new(7, 11),
+            RowCol::new(15, 23),
+            RowCol::new(6, 18),
+            RowCol::new(12, 5),
+        ];
+        for rc in dims.iter_tiles() {
+            for wire in Wire::all() {
+                let seg = Segment { rc, wire };
+                if !is_canonical(dims, seg) {
+                    continue;
+                }
+                for goal in goals {
+                    for longs in [false, true] {
+                        assert_eq!(
+                            la.estimate_pair(seg, goal, longs),
+                            (
+                                la.estimate(seg, goal, longs),
+                                la.estimate_delay(seg, goal, longs)
+                            ),
+                            "{seg} -> {goal} longs={longs}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cache_reuses_tables_per_dims() {
+        // What `MazeScratch::new` resolves, over repeated devices of one
+        // family: the same two tables every time, served from the cache.
+        let fam = Family::Xcv600;
+        let first = (
+            Device::new(fam).lookahead(),
+            Device::new(fam).interconnect(),
+        );
+        let (builds, hits) = cache_stats();
+        for _ in 0..4 {
+            let dev = Device::new(fam);
+            assert!(std::ptr::eq(dev.lookahead(), first.0));
+            assert!(std::ptr::eq(dev.interconnect(), first.1));
+        }
+        let (builds2, hits2) = cache_stats();
+        assert!(builds >= 1);
+        assert!(hits2 >= hits + 8, "every repeat is a cache hit");
+        // Other tests may build other geometries concurrently, but no
+        // more than one build per geometry.
+        assert!(
+            builds2 <= (Family::ALL.len() + Family::SYNTHETIC.len()) as u64,
+            "{builds2} builds"
+        );
         let a = Lookahead::get(Dims::new(16, 24));
         let b = Lookahead::get(Dims::new(16, 24));
         assert!(std::ptr::eq(a, b));
-        let (builds, hits) = cache_stats();
-        assert!(builds >= 1);
-        assert!(hits >= 1);
     }
 }

@@ -55,34 +55,109 @@ impl std::fmt::Display for Segment {
     }
 }
 
+/// An inclusive rectangle of tile offsets from an anchor tile: the tiles
+/// a local name (or a PIP between two names) needs on-chip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Window {
+    pub(crate) row_lo: i8,
+    pub(crate) row_hi: i8,
+    pub(crate) col_lo: i8,
+    pub(crate) col_hi: i8,
+}
+
+impl Window {
+    /// The anchor tile alone.
+    const TILE: Window = Window {
+        row_lo: 0,
+        row_hi: 0,
+        col_lo: 0,
+        col_hi: 0,
+    };
+
+    /// A wire travelling `dir` that reaches `back` tiles behind the
+    /// anchor and `fwd` tiles ahead of it.
+    const fn along(dir: Dir, back: u16, fwd: u16) -> Window {
+        let (back, fwd) = (back as i8, fwd as i8);
+        let (lo, hi) = match dir {
+            Dir::North | Dir::East => (-back, fwd),
+            Dir::South | Dir::West => (-fwd, back),
+        };
+        if dir.is_vertical() {
+            Window {
+                row_lo: lo,
+                row_hi: hi,
+                ..Window::TILE
+            }
+        } else {
+            Window {
+                col_lo: lo,
+                col_hi: hi,
+                ..Window::TILE
+            }
+        }
+    }
+
+    /// The window a wire of `kind` needs around the tile that names it: a
+    /// travelling wire's whole span, the tile itself for everything else.
+    /// Long lines also need an access tile, which a window cannot express.
+    pub(crate) const fn of(kind: WireKind) -> Window {
+        match kind {
+            WireKind::Single { dir, .. } => Window::along(dir, 0, 1),
+            WireKind::SingleEnd { dir, .. } => Window::along(dir, 1, 0),
+            WireKind::Hex { dir, .. } => Window::along(dir, 0, HEX_SPAN),
+            WireKind::HexMid { dir, .. } => Window::along(dir, HEX_SPAN / 2, HEX_SPAN / 2),
+            WireKind::HexEnd { dir, .. } => Window::along(dir, HEX_SPAN, 0),
+            WireKind::DirectE(_) => Window::along(Dir::East, 0, 1),
+            WireKind::DirectWEnd(_) => Window::along(Dir::East, 1, 0),
+            _ => Window::TILE,
+        }
+    }
+
+    /// This window moved by `(dr, dc)` tiles.
+    pub(crate) const fn shift(self, dr: i8, dc: i8) -> Window {
+        Window {
+            row_lo: self.row_lo + dr,
+            row_hi: self.row_hi + dr,
+            col_lo: self.col_lo + dc,
+            col_hi: self.col_hi + dc,
+        }
+    }
+
+    /// The smallest window covering both.
+    pub(crate) fn union(self, o: Window) -> Window {
+        Window {
+            row_lo: self.row_lo.min(o.row_lo),
+            row_hi: self.row_hi.max(o.row_hi),
+            col_lo: self.col_lo.min(o.col_lo),
+            col_hi: self.col_hi.max(o.col_hi),
+        }
+    }
+
+    /// Whether the window, anchored at `rc`, lies on a `dims` device.
+    #[inline]
+    pub(crate) fn fits(self, rc: RowCol, dims: Dims) -> bool {
+        let (r, c) = (rc.row as i32, rc.col as i32);
+        r + self.row_lo as i32 >= 0
+            && r + (self.row_hi as i32) < dims.rows as i32
+            && c + self.col_lo as i32 >= 0
+            && c + (self.col_hi as i32) < dims.cols as i32
+    }
+}
+
 /// Whether local name `wire` denotes an existing resource at tile `rc` on a
 /// `dims`-sized device. Travelling wires only exist where their full span
 /// lies on-chip; long lines are only visible at access tiles (every
 /// [`LONG_ACCESS`] CLBs, per paper §2 "Long lines can be accessed every 6
 /// blocks").
+#[inline]
 pub fn wire_exists(dims: Dims, rc: RowCol, wire: Wire) -> bool {
-    if !dims.contains(rc) {
-        return false;
-    }
-    match wire.kind() {
-        WireKind::Out(_)
-        | WireKind::SliceOut { .. }
-        | WireKind::SliceIn { .. }
-        | WireKind::Feedback(_)
-        | WireKind::Gclk(_) => true,
-        WireKind::Single { dir, .. } => rc.step(dir, 1, dims).is_some(),
-        WireKind::SingleEnd { dir, .. } => rc.step(dir.opposite(), 1, dims).is_some(),
-        WireKind::Hex { dir, .. } => rc.step(dir, HEX_SPAN, dims).is_some(),
-        WireKind::HexMid { dir, .. } => {
-            rc.step(dir, HEX_SPAN / 2, dims).is_some()
-                && rc.step(dir.opposite(), HEX_SPAN / 2, dims).is_some()
+    let kind = wire.kind();
+    Window::of(kind).fits(rc, dims)
+        && match kind {
+            WireKind::LongH(_) => rc.col.is_multiple_of(LONG_ACCESS),
+            WireKind::LongV(_) => rc.row.is_multiple_of(LONG_ACCESS),
+            _ => true,
         }
-        WireKind::HexEnd { dir, .. } => rc.step(dir.opposite(), HEX_SPAN, dims).is_some(),
-        WireKind::LongH(_) => rc.col.is_multiple_of(LONG_ACCESS),
-        WireKind::LongV(_) => rc.row.is_multiple_of(LONG_ACCESS),
-        WireKind::DirectE(_) => rc.step(Dir::East, 1, dims).is_some(),
-        WireKind::DirectWEnd(_) => rc.step(Dir::West, 1, dims).is_some(),
-    }
 }
 
 /// Resolve a local `(tile, wire)` name to its canonical segment.

@@ -30,6 +30,7 @@ echo "==> bench smoke: e1_census (tiny budgets via BENCH_* env)"
 BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
     cargo bench --offline --bench e1_census
 test -s target/bench-json/BENCH_e1_census.json
+grep -q '"id": "e1/adjacency_table_full_tile"' target/bench-json/BENCH_e1_census.json
 echo "    wrote target/bench-json/BENCH_e1_census.json"
 
 echo "==> bench smoke: e15_convergence (incremental vs full-ripup PathFinder)"
