@@ -61,7 +61,7 @@ fn table() {
     for rc in dev.dims().iter_tiles() {
         for pip in r.bits().pips_at(rc) {
             if let Some(seg) = dev.canonicalize(rc, pip.to) {
-                if r.bits().segment_drivers(seg).len() > 1 {
+                if r.bits().segment_drivers(seg).count() > 1 {
                     double += 1;
                 }
             }

@@ -45,6 +45,7 @@
 use crate::dial::DialQueue;
 use jbits::Pip;
 use jroute_obs::{Counter, Histo, Recorder};
+use std::sync::Mutex;
 use virtex::lookahead::Lookahead;
 use virtex::{BBox, Device, Interconnect, RowCol, SegIdx, Segment, Wire};
 
@@ -120,6 +121,14 @@ impl Default for MazeConfig {
 /// memory traffic before it routed anything. Packing also keeps the hot
 /// relax test (`seen` + `cost`) to a single cache line per neighbour,
 /// which dominates on fabrics whose scratch overflows the cache.
+///
+/// Untouched zero pages are what the allocator hands out the first time
+/// only. glibc maps a large block fresh until one is freed, then serves
+/// blocks of that size from its heap, where `alloc_zeroed` writes every
+/// page and a fragmented heap can keep a second copy resident. So a
+/// dropped router hands its scratch's arrays on to the next scratch of
+/// the same size (`SPARE`); the epoch stamps make them as good as
+/// zeroed.
 ///
 /// `meta` holds `stamp << 32 | cost` with `stamp = (epoch << 1) |
 /// closed`; a slot is live iff `stamp >> 1 == epoch`. The `closed` bit
@@ -222,24 +231,64 @@ impl PrevEntry {
 /// Epochs use 31 bits of the stamp half-word; wrap rewrites the stamps.
 const EPOCH_MAX: u32 = u32::MAX >> 1;
 
+/// A scratch's device-sized state: the epoch and the arrays it stamps.
+type Arrays = (u32, Vec<u64>, Vec<u64>);
+
+/// The arrays of the last dropped [`crate::Router`], kept for the next
+/// [`MazeScratch::new`] of the same size. An RTR application rebuilds
+/// its router per design state; this way each router reuses one set of
+/// arrays instead of cycling device-sized blocks through the allocator.
+/// One set only: [`crate::ScratchPool`]s keep their own scratches, and
+/// every retained set stays resident.
+static SPARE: Mutex<Option<Arrays>> = Mutex::new(None);
+
 impl MazeScratch {
-    /// Scratch sized for `dev`'s segment space.
+    /// Scratch sized for `dev`'s segment space, on the arrays a dropped
+    /// router left if they have that size.
     pub fn new(dev: &Device) -> Self {
         let n = dev.seg_space().len();
+        let spare = SPARE
+            .lock()
+            .expect("spare lock poisoned")
+            .take_if(|s| s.1.len() == n);
+        Self::on_arrays(dev, spare.unwrap_or_else(|| (0, vec![0; n], vec![0; n])))
+    }
+
+    /// Leave this scratch's arrays to the next [`MazeScratch::new`] of
+    /// the same size; the scratch must not search again.
+    pub(crate) fn hand_on(&mut self) {
+        // A poisoned lock only loses the reuse.
+        if let Ok(mut spare) = SPARE.lock() {
+            *spare = Some(self.take_arrays());
+        }
+    }
+
+    /// Scratch for `dev` continuing from `arrays`. Every stamp in them is
+    /// older than their epoch, so every slot starts unseen.
+    fn on_arrays(dev: &Device, (epoch, meta, link): Arrays) -> Self {
         let dims = dev.dims();
         assert!(
             dims.rows < 1 << 10 && dims.cols < 1 << 10,
             "tile coordinates exceed packed field"
         );
+        debug_assert_eq!(meta.len(), dev.seg_space().len());
         MazeScratch {
-            epoch: 0,
-            meta: vec![0; n],
-            link: vec![0; n],
+            epoch,
+            meta,
+            link,
             open: DialQueue::new(),
             la: dev.lookahead(),
             ic: dev.interconnect(),
             meters: None,
         }
+    }
+
+    fn take_arrays(&mut self) -> Arrays {
+        (
+            self.epoch,
+            std::mem::take(&mut self.meta),
+            std::mem::take(&mut self.link),
+        )
     }
 
     /// Metric handles for `obs`, resolved once and cached on the scratch
@@ -545,6 +594,33 @@ mod tests {
 
     fn seg_of(dev: &Device, pin: Pin) -> Segment {
         dev.canonicalize(pin.rc, pin.wire).unwrap()
+    }
+
+    /// A scratch on another scratch's arrays starts with every slot
+    /// unseen: the same search expands the same nodes and finds the
+    /// same path as on fresh arrays.
+    #[test]
+    fn handed_on_arrays_start_unseen() {
+        let dev = dev();
+        let src = seg_of(&dev, Pin::new(5, 7, wire::S1_YQ));
+        let sink = seg_of(&dev, Pin::new(12, 20, wire::S0_F3));
+        let run = |scratch: &mut MazeScratch| {
+            let r = search(
+                &dev,
+                &[(src, 0)],
+                sink,
+                &MazeConfig::default(),
+                |_| false,
+                |_| 0,
+                scratch,
+            )
+            .expect("route exists");
+            (r.pips, r.cost, r.nodes_expanded)
+        };
+        let mut first = MazeScratch::new(&dev);
+        let want = run(&mut first);
+        let mut next = MazeScratch::on_arrays(&dev, first.take_arrays());
+        assert_eq!(run(&mut next), want);
     }
 
     #[test]

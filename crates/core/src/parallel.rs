@@ -758,7 +758,7 @@ mod tests {
         }
         for net in &r.nets {
             for seg in &net.segments {
-                assert!(bits.segment_drivers(*seg).len() <= 1);
+                assert!(bits.segment_drivers(*seg).count() <= 1);
             }
         }
     }

@@ -940,7 +940,10 @@ mod tests {
         // Every segment has at most one driver.
         for net in &r.nets {
             for seg in &net.segments {
-                assert!(bits.segment_drivers(*seg).len() <= 1, "contention on {seg}");
+                assert!(
+                    bits.segment_drivers(*seg).count() <= 1,
+                    "contention on {seg}"
+                );
             }
         }
     }

@@ -110,6 +110,12 @@ pub struct Router {
     obs: Recorder,
 }
 
+impl Drop for Router {
+    fn drop(&mut self) {
+        self.scratch.hand_on();
+    }
+}
+
 impl Router {
     /// Router over a blank configuration of `device`. The observability
     /// recorder starts in the `JROUTE_OBS` environment state (disabled
@@ -671,9 +677,9 @@ impl Router {
                 goals,
                 &[],
                 &cfg,
-                |seg| {
-                    nets.owner(seg).is_some_and(|o| o != net)
-                        || (nets.owner(seg).is_none() && bits.is_segment_driven(seg))
+                |seg| match nets.owner(seg) {
+                    Some(o) => o != net,
+                    None => bits.is_segment_driven(seg),
                 },
                 |_| 0,
                 &mut self.scratch,

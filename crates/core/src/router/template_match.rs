@@ -12,19 +12,20 @@ use jbits::Pip;
 use jroute_obs::{Counter, Recorder};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use virtex::segment::{self, Tap};
-use virtex::{template_value, RowCol, SegIdx, Segment, TemplateValue, Wire};
+use virtex::{template_value, Interconnect, RowCol, SegIdx, Segment, TemplateValue};
 
 /// Nodes one template search may visit before it gives up and the
 /// auto-router falls back to the maze (§3.1).
 pub(super) const TEMPLATE_BUDGET: usize = 4_096;
 
-/// A candidate step: turn on `pip` at `rc`, entering segment `next`.
+/// A candidate step: turn on `pip` at `rc`, entering segment `next`
+/// (dense index `idx`).
 #[derive(Debug, Clone, Copy)]
 struct Move {
     rc: RowCol,
     pip: Pip,
     next: Segment,
+    idx: SegIdx,
 }
 
 /// An open node of the search. Its depth is its index on the frame stack.
@@ -111,8 +112,6 @@ impl TemplateMeters {
 /// Reusable state of the template matcher (one per router).
 #[derive(Debug, Default)]
 pub(super) struct TemplateMatcher {
-    taps: Vec<Tap>,
-    fanout: Vec<Wire>,
     moves: Vec<Move>,
     frames: Vec<Frame>,
     path: Vec<(RowCol, Pip)>,
@@ -150,10 +149,12 @@ impl TemplateMatcher {
         self.path.clear();
         self.nodes = 0;
         self.replayed = 0;
-        let found = match self.enter(r, start, goal, values, budget) {
+        let ic = r.device.interconnect();
+        let idx = r.device.seg_space().index(start);
+        let found = match self.enter(r, ic, start, idx, goal, values, budget) {
             Visit::Found => true,
             Visit::Failed => false,
-            Visit::Open => self.walk(r, goal, values, budget),
+            Visit::Open => self.walk(r, ic, goal, values, budget),
         };
         let (nodes, replayed) = (self.nodes, self.replayed);
         let m = self.meters_for(&r.obs);
@@ -166,6 +167,7 @@ impl TemplateMatcher {
     fn walk(
         &mut self,
         r: &Router,
+        ic: &Interconnect,
         goal: Segment,
         values: &[TemplateValue],
         budget: &mut usize,
@@ -188,7 +190,7 @@ impl TemplateMatcher {
             let mv = self.moves[top.next];
             top.next += 1;
             self.path.push((mv.rc, mv.pip));
-            match self.enter(r, mv.next, goal, values, budget) {
+            match self.enter(r, ic, mv.next, mv.idx, goal, values, budget) {
                 Visit::Found => return true,
                 Visit::Failed if *budget == 0 => return false,
                 Visit::Failed => {
@@ -199,17 +201,20 @@ impl TemplateMatcher {
         }
     }
 
-    /// Visit `seg` at the depth of the next frame.
+    /// Visit `seg` (dense index `idx`) at the depth of the next frame.
+    #[allow(clippy::too_many_arguments)]
     fn enter(
         &mut self,
         r: &Router,
+        ic: &Interconnect,
         seg: Segment,
+        idx: SegIdx,
         goal: Segment,
         values: &[TemplateValue],
         budget: &mut usize,
     ) -> Visit {
         let depth = self.frames.len();
-        let key = (r.device.seg_space().index(seg), depth);
+        let key = (idx, depth);
         if let Some(&cost) = self.memo.get(&key) {
             self.replayed += 1;
             *budget = budget.saturating_sub(cost);
@@ -228,7 +233,7 @@ impl TemplateMatcher {
             };
         };
         let base = self.moves.len();
-        self.expand(r, seg, goal, want, depth + 1 == values.len());
+        self.expand(r, ic, seg, goal, want, depth + 1 == values.len());
         self.frames.push(Frame {
             key,
             entry: *budget + 1,
@@ -239,44 +244,39 @@ impl TemplateMatcher {
     }
 
     /// Push the moves out of `cur` that match `want`, in the plain
-    /// search's order (the segment's taps, then each tap's fan-out).
-    fn expand(&mut self, r: &Router, cur: Segment, goal: Segment, want: TemplateValue, last: bool) {
-        let TemplateMatcher {
-            taps,
-            fanout,
-            moves,
-            ..
-        } = self;
-        let dev = &r.device;
-        taps.clear();
-        segment::taps(dev.dims(), cur, taps);
-        for tap in taps.iter() {
-            fanout.clear();
-            dev.arch().pips_from(tap.rc, tap.wire, fanout);
-            for &to in fanout.iter() {
-                if template_value(to) != want {
-                    continue;
-                }
-                let Some(next) = dev.canonicalize(tap.rc, to) else {
-                    continue;
-                };
-                // Must land exactly on the goal with the last step.
-                if last != (next == goal) {
-                    continue;
-                }
-                // "checks to make sure the wire is not already in use" —
-                // including by this net's own earlier branches: a driven
-                // wire cannot take a second driving PIP (§3.4).
-                if r.nets.is_used(next) || r.bits.is_segment_driven(next) {
-                    continue;
-                }
-                moves.push(Move {
-                    rc: tap.rc,
-                    pip: Pip::new(tap.wire, to),
-                    next,
-                });
+    /// search's order: the interconnect table lists a segment's edges as
+    /// the generator does (its taps, then each tap's fan-out).
+    fn expand(
+        &mut self,
+        r: &Router,
+        ic: &Interconnect,
+        cur: Segment,
+        goal: Segment,
+        want: TemplateValue,
+        last: bool,
+    ) {
+        let moves = &mut self.moves;
+        ic.for_each_edge(cur, |e| {
+            if template_value(e.to) != want {
+                return;
             }
-        }
+            // Must land exactly on the goal with the last step.
+            if last != (e.seg == goal) {
+                return;
+            }
+            // "checks to make sure the wire is not already in use" —
+            // including by this net's own earlier branches: a driven
+            // wire cannot take a second driving PIP (§3.4).
+            if r.nets.is_used(e.seg) || r.bits.is_segment_driven(e.seg) {
+                return;
+            }
+            moves.push(Move {
+                rc: e.rc,
+                pip: Pip::new(e.from, e.to),
+                next: e.seg,
+                idx: e.idx,
+            });
+        });
     }
 
     fn meters_for(&mut self, obs: &Recorder) -> &TemplateMeters {
@@ -293,7 +293,8 @@ mod tests {
     use crate::templates_db;
     use crate::{EndPoint, Pin};
     use detrand::{DetRng, SliceRandom};
-    use virtex::{wire, Device, Family};
+    use virtex::segment::{self, Tap};
+    use virtex::{wire, Device, Family, Wire};
 
     /// The plain recursive matcher the memoized one replaces: the same
     /// budgeted depth-first search, re-searching every subtree it meets.

@@ -18,22 +18,20 @@ use crate::error::{NetId, Result, RouteError};
 use crate::net::NetDb;
 use crate::trace;
 use jbits::Bitstream;
-use virtex::segment::Tap;
 use virtex::Segment;
 
 /// Count of on-PIPs sourced by `seg` (its fan-out degree in the
 /// configuration).
 fn fanout_degree(bits: &Bitstream, seg: Segment) -> usize {
-    let mut taps: Vec<Tap> = Vec::with_capacity(4);
-    virtex::segment::taps(bits.device().dims(), seg, &mut taps);
-    taps.iter()
-        .map(|t| {
-            bits.pips_at(t.rc)
-                .iter()
-                .filter(|p| p.from == t.wire)
-                .count()
-        })
-        .sum()
+    let mut n = 0;
+    virtex::segment::for_each_tap(bits.device().dims(), seg, |t| {
+        n += bits
+            .pips_at(t.rc)
+            .iter()
+            .filter(|p| p.from == t.wire)
+            .count();
+    });
+    n
 }
 
 /// Forward-unroute the entire net driven by `source`: turn off every PIP

@@ -12,7 +12,6 @@
 use crate::error::JBitsError;
 use crate::frame::{lut_frame, pip_frame, FrameTracker};
 use std::sync::Arc;
-use virtex::segment::Tap;
 use virtex::{Device, RowCol, Segment, Wire};
 
 /// Observer hook for configuration writes.
@@ -198,9 +197,12 @@ impl Bitstream {
     }
 
     /// On-PIPs at `rc` whose target is `to` (the drivers configured for
-    /// that wire at that tile).
+    /// that wire at that tile): a contiguous range of the sorted list.
     pub fn drivers_at(&self, rc: RowCol, to: Wire) -> impl Iterator<Item = Pip> + '_ {
-        self.pips_at(rc).iter().copied().filter(move |p| p.to == to)
+        let pips = self.pips_at(rc);
+        let lo = pips.partition_point(|p| p.to < to);
+        let hi = lo + pips[lo..].partition_point(|p| p.to == to);
+        pips[lo..hi].iter().copied()
     }
 
     /// Whether any on-PIP anywhere drives the canonical segment `seg`.
@@ -215,25 +217,16 @@ impl Bitstream {
     /// (contention — JRoute prevents this, raw JBits writes may not), the
     /// first in tap order is returned.
     pub fn segment_driver(&self, seg: Segment) -> Option<(RowCol, Pip)> {
-        let mut taps: Vec<Tap> = Vec::with_capacity(4);
-        self.device.arch().drive_taps(seg, &mut taps);
-        for tap in taps {
-            if let Some(p) = self.drivers_at(tap.rc, tap.wire).next() {
-                return Some((tap.rc, p));
-            }
-        }
-        None
+        self.segment_drivers(seg).next()
     }
 
-    /// Every PIP currently driving `seg`, across all of its drive-in taps.
-    pub fn segment_drivers(&self, seg: Segment) -> Vec<(RowCol, Pip)> {
-        let mut taps: Vec<Tap> = Vec::with_capacity(4);
-        self.device.arch().drive_taps(seg, &mut taps);
-        let mut out = Vec::new();
-        for tap in taps {
-            out.extend(self.drivers_at(tap.rc, tap.wire).map(|p| (tap.rc, p)));
-        }
-        out
+    /// Every PIP currently driving `seg`, across all of its drive-in
+    /// taps, in tap order. Allocates nothing.
+    pub fn segment_drivers(&self, seg: Segment) -> impl Iterator<Item = (RowCol, Pip)> + '_ {
+        self.device
+            .arch()
+            .drive_taps(seg)
+            .flat_map(move |tap| self.drivers_at(tap.rc, tap.wire).map(move |p| (tap.rc, p)))
     }
 
     /// Set a LUT equation. `slice` in 0..2, `lut` 0 = F, 1 = G.
@@ -394,7 +387,7 @@ mod tests {
         b.set_pip(rc, drivers[0], target).unwrap();
         b.set_pip(rc, drivers[1], target).unwrap();
         let seg = dev.canonicalize(rc, target).unwrap();
-        assert_eq!(b.segment_drivers(seg).len(), 2);
+        assert_eq!(b.segment_drivers(seg).count(), 2);
     }
 
     #[test]
@@ -481,6 +474,111 @@ mod tests {
         b.set_observer(None);
         b.set_pip(rc, wire::S1_YQ, wire::out(1)).unwrap();
         assert_eq!(tally.set.load(Ordering::Relaxed), 1);
+    }
+
+    /// The driven test against a brute-force oracle: on random XCV50
+    /// configurations — raw contention, far-end drivers of bi-directional
+    /// hexes and long lines among them — every canonical segment's
+    /// drivers are the on-PIPs, anywhere on the chip, whose target
+    /// canonicalizes to it.
+    #[test]
+    fn driver_queries_match_a_full_scan() {
+        use detrand::{DetRng, SliceRandom};
+        use std::collections::HashMap;
+        use virtex::WireKind;
+
+        let dev = Device::new(Family::Xcv50);
+        let dims = dev.dims();
+        let all: Vec<Wire> = Wire::all().collect();
+        let tiles: Vec<RowCol> = dims.iter_tiles().collect();
+        let is_long = |w: Wire| matches!(w.kind(), WireKind::LongH(_) | WireKind::LongV(_));
+        let is_hex_end = |w: Wire| matches!(w.kind(), WireKind::HexEnd { .. });
+        let (mut contended, mut far_end, mut long) = (0, 0, 0);
+        harness::check_with("driver_queries_match_a_full_scan", 24, |rng| {
+            let mut b = Bitstream::new(&dev);
+            // Random PIPs, a third of them steered onto long lines and a
+            // third onto hex ends (bi-directional hexes driven from their
+            // far end).
+            let mut fanout = Vec::new();
+            for _ in 0..rng.gen_range(50..400) {
+                let rc = *tiles.choose(rng).expect("tiles");
+                let from = *all.choose(rng).expect("wires");
+                fanout.clear();
+                dev.arch().pips_from(rc, from, &mut fanout);
+                let steer: &dyn Fn(Wire) -> bool = match rng.gen_range(0..3) {
+                    0 => &is_long,
+                    1 => &is_hex_end,
+                    _ => &|_| true,
+                };
+                let pick = |rng: &mut DetRng| {
+                    let steered: Vec<Wire> = fanout.iter().copied().filter(|&w| steer(w)).collect();
+                    steered.choose(rng).or(fanout.choose(rng)).copied()
+                };
+                if let Some(to) = pick(rng) {
+                    b.set_pip(rc, from, to).unwrap();
+                }
+            }
+            // Raw contention: a second driver for some driven wires.
+            let mut into = Vec::new();
+            for _ in 0..rng.gen_range(1..8) {
+                let rc = *tiles.choose(rng).expect("tiles");
+                let Some(&pip) = b.pips_at(rc).choose(rng) else {
+                    continue;
+                };
+                into.clear();
+                dev.arch().pips_into(rc, pip.to, &mut into);
+                if let Some(&from) = into.iter().find(|&&w| w != pip.from) {
+                    b.set_pip(rc, from, pip.to).unwrap();
+                }
+            }
+
+            // The oracle: every on-PIP of every tile, by driven segment,
+            // in tile order.
+            let mut want: HashMap<Segment, Vec<(RowCol, Pip)>> = HashMap::new();
+            for &rc in &tiles {
+                let pips = b.pips_at(rc);
+                for &pip in pips {
+                    let seg = dev.canonicalize(rc, pip.to).expect("on-PIP target exists");
+                    want.entry(seg).or_default().push((rc, pip));
+                    let at: Vec<Pip> = pips.iter().copied().filter(|p| p.to == pip.to).collect();
+                    assert_eq!(b.drivers_at(rc, pip.to).collect::<Vec<_>>(), at);
+                }
+                let to = *all.choose(rng).expect("wires");
+                let at = pips.iter().filter(|p| p.to == to).count();
+                assert_eq!(b.drivers_at(rc, to).count(), at);
+            }
+            for &rc in &tiles {
+                for &w in &all {
+                    let seg = Segment { rc, wire: w };
+                    if dev.canonicalize(rc, w) != Some(seg) {
+                        continue;
+                    }
+                    let expect = want.get(&seg).map_or(&[][..], Vec::as_slice);
+                    let mut got: Vec<_> = b.segment_drivers(seg).collect();
+                    got.sort_unstable();
+                    let mut sorted = expect.to_vec();
+                    sorted.sort_unstable();
+                    assert_eq!(got, sorted, "drivers of {seg}");
+                    assert_eq!(b.is_segment_driven(seg), !expect.is_empty(), "{seg}");
+                    // Drive taps are searched origin first, then (long
+                    // lines) in row or column order: tile order here.
+                    let first = expect
+                        .iter()
+                        .find(|d| d.0 == seg.rc)
+                        .or(expect.first())
+                        .copied();
+                    assert_eq!(b.segment_driver(seg), first, "first driver of {seg}");
+                    contended += usize::from(expect.len() > 1);
+                    far_end +=
+                        usize::from(expect.iter().any(|d| d.0 != seg.rc && is_hex_end(d.1.to)));
+                    long += usize::from(!expect.is_empty() && is_long(w));
+                }
+            }
+        });
+        assert!(
+            contended > 0 && far_end > 0 && long > 0,
+            "contended {contended}, far-end hexes {far_end}, long lines {long}"
+        );
     }
 
     #[test]

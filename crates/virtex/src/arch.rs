@@ -129,31 +129,31 @@ impl Arch {
         }
     }
 
-    /// Append the taps of `seg` at which it can *be driven* (drive-in
-    /// taps): the origin for ordinary wires, both endpoints for
-    /// bi-directional hexes, every access tap for long lines.
-    pub fn drive_taps(&self, seg: Segment, out: &mut Vec<Tap>) {
-        match seg.wire.kind() {
-            WireKind::Hex { dir, idx } => {
-                out.push(Tap {
-                    rc: seg.rc,
-                    wire: seg.wire,
-                });
-                if hex_is_bidir(idx) {
-                    out.push(Tap {
-                        rc: seg.rc.step_unchecked(dir, wire::HEX_SPAN),
-                        wire: wire::hex_end(dir, idx as usize),
-                    });
-                }
-            }
-            WireKind::LongH(_) | WireKind::LongV(_) => {
-                segment::taps(self.dims, seg, out);
-            }
-            _ => out.push(Tap {
-                rc: seg.rc,
-                wire: seg.wire,
-            }),
-        }
+    /// The taps of `seg` at which it can *be driven* (drive-in taps), in
+    /// order: the origin for ordinary wires, both endpoints for
+    /// bi-directional hexes, every access tap for long lines. Allocates
+    /// nothing.
+    pub fn drive_taps(&self, seg: Segment) -> impl Iterator<Item = Tap> {
+        let origin = Tap {
+            rc: seg.rc,
+            wire: seg.wire,
+        };
+        let (origin, far) = match seg.wire.kind() {
+            // The long-line walk below starts at the origin.
+            WireKind::LongH(_) | WireKind::LongV(_) => (None, None),
+            WireKind::Hex { dir, idx } if hex_is_bidir(idx) => (
+                Some(origin),
+                Some(Tap {
+                    rc: seg.rc.step_unchecked(dir, wire::HEX_SPAN),
+                    wire: wire::hex_end(dir, idx as usize),
+                }),
+            ),
+            _ => (Some(origin), None),
+        };
+        origin
+            .into_iter()
+            .chain(far)
+            .chain(segment::long_taps(self.dims, seg))
     }
 
     /// Length, in CLBs, of the wire (0 for tile-local resources; longs
@@ -466,12 +466,8 @@ mod tests {
             rc,
             wire: wire::hex(Dir::East, 5),
         };
-        let mut t = Vec::new();
-        a.drive_taps(bidir, &mut t);
-        assert_eq!(t.len(), 2);
-        t.clear();
-        a.drive_taps(unidir, &mut t);
-        assert_eq!(t.len(), 1);
+        assert_eq!(a.drive_taps(bidir).count(), 2);
+        assert_eq!(a.drive_taps(unidir).count(), 1);
     }
 
     #[test]

@@ -235,6 +235,13 @@ pub struct Tap {
 ///
 /// Taps are appended to `out` (workhorse-buffer style; the caller clears).
 pub fn taps(dims: Dims, seg: Segment, out: &mut Vec<Tap>) {
+    for_each_tap(dims, seg, |t| out.push(t));
+}
+
+/// Call `f` with every tap of a canonical segment, in [`taps`] order,
+/// without a buffer.
+#[inline]
+pub fn for_each_tap(dims: Dims, seg: Segment, mut f: impl FnMut(Tap)) {
     debug_assert!(
         is_canonical(dims, seg),
         "taps() wants canonical input, got {seg}"
@@ -242,46 +249,27 @@ pub fn taps(dims: Dims, seg: Segment, out: &mut Vec<Tap>) {
     let rc = seg.rc;
     match seg.wire.kind() {
         WireKind::Single { dir, idx } => {
-            out.push(Tap { rc, wire: seg.wire });
-            out.push(Tap {
+            f(Tap { rc, wire: seg.wire });
+            f(Tap {
                 rc: rc.step_unchecked(dir, 1),
                 wire: wire::single_end(dir, idx as usize),
             });
         }
         WireKind::Hex { dir, idx } => {
-            out.push(Tap { rc, wire: seg.wire });
-            out.push(Tap {
+            f(Tap { rc, wire: seg.wire });
+            f(Tap {
                 rc: rc.step_unchecked(dir, HEX_SPAN / 2),
                 wire: wire::hex_mid(dir, idx as usize),
             });
-            out.push(Tap {
+            f(Tap {
                 rc: rc.step_unchecked(dir, HEX_SPAN),
                 wire: wire::hex_end(dir, idx as usize),
             });
         }
-        WireKind::LongH(_) => {
-            let mut c = 0;
-            while c < dims.cols {
-                out.push(Tap {
-                    rc: RowCol::new(rc.row, c),
-                    wire: seg.wire,
-                });
-                c += LONG_ACCESS;
-            }
-        }
-        WireKind::LongV(_) => {
-            let mut r = 0;
-            while r < dims.rows {
-                out.push(Tap {
-                    rc: RowCol::new(r, rc.col),
-                    wire: seg.wire,
-                });
-                r += LONG_ACCESS;
-            }
-        }
+        WireKind::LongH(_) | WireKind::LongV(_) => long_taps(dims, seg).for_each(f),
         WireKind::DirectE(idx) => {
-            out.push(Tap { rc, wire: seg.wire });
-            out.push(Tap {
+            f(Tap { rc, wire: seg.wire });
+            f(Tap {
                 rc: rc.step_unchecked(Dir::East, 1),
                 wire: wire::direct_w_end(idx as usize),
             });
@@ -290,14 +278,33 @@ pub fn taps(dims: Dims, seg: Segment, out: &mut Vec<Tap>) {
             // Global clocks surface at every tile; callers that only need
             // a specific tile should not enumerate this.
             for t in dims.iter_tiles() {
-                out.push(Tap {
+                f(Tap {
                     rc: t,
                     wire: seg.wire,
                 });
             }
         }
-        _ => out.push(Tap { rc, wire: seg.wire }),
+        _ => f(Tap { rc, wire: seg.wire }),
     }
+}
+
+/// The access taps of a canonical long line, origin first: every
+/// [`LONG_ACCESS`]th tile of its row or column. Empty for every other
+/// wire.
+pub(crate) fn long_taps(dims: Dims, seg: Segment) -> impl Iterator<Item = Tap> {
+    let (span, horizontal) = match seg.wire.kind() {
+        WireKind::LongH(_) => (dims.cols, true),
+        WireKind::LongV(_) => (dims.rows, false),
+        _ => (0, true),
+    };
+    (0..span).step_by(LONG_ACCESS as usize).map(move |k| Tap {
+        rc: if horizontal {
+            RowCol::new(seg.rc.row, k)
+        } else {
+            RowCol::new(k, seg.rc.col)
+        },
+        wire: seg.wire,
+    })
 }
 
 #[cfg(test)]

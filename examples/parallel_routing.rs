@@ -58,7 +58,10 @@ fn main() {
         }
         for net in &result.nets {
             for seg in &net.segments {
-                assert!(bits.segment_drivers(*seg).len() <= 1, "contention on {seg}");
+                assert!(
+                    bits.segment_drivers(*seg).count() <= 1,
+                    "contention on {seg}"
+                );
             }
         }
     }

@@ -33,6 +33,12 @@ test -s target/bench-json/BENCH_e1_census.json
 grep -q '"id": "e1/adjacency_table_full_tile"' target/bench-json/BENCH_e1_census.json
 echo "    wrote target/bench-json/BENCH_e1_census.json"
 
+echo "==> bench smoke: e4_template_vs_maze (template matcher vs maze under occupancy)"
+BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
+    cargo bench --offline --bench e4_template_vs_maze
+test -s target/bench-json/BENCH_e4_template_vs_maze.json
+grep -q '"id": "e4/templates_prefill_0"' target/bench-json/BENCH_e4_template_vs_maze.json
+echo "    wrote target/bench-json/BENCH_e4_template_vs_maze.json"
 echo "==> bench smoke: e15_convergence (incremental vs full-ripup PathFinder)"
 BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
     cargo bench --offline --bench e15_convergence
