@@ -113,11 +113,13 @@ impl NetSlots {
 /// Ownership is stored densely over the device's [`SegSpace`]: `owner` /
 /// `is_used` are O(1) array reads on the maze router's hot blocked-check
 /// path, and releasing a net touches only the segments it owned.
+///
+/// A net owns its source segment for its whole life, so "which net is
+/// rooted here?" is the owner of the segment, kept when that net's
+/// recorded source is the segment itself.
 #[derive(Debug)]
 pub struct NetDb {
     nets: HashMap<NetId, Net>,
-    /// Source segment -> net rooted there (dense over the segment space).
-    by_source: NetSlots,
     /// Segment -> owning net. Set for the source segment and for the
     /// target segment of every net PIP.
     occ: NetSlots,
@@ -132,7 +134,6 @@ impl NetDb {
     pub fn new(space: SegSpace) -> Self {
         NetDb {
             nets: HashMap::new(),
-            by_source: NetSlots::new(space),
             occ: NetSlots::new(space),
             used: 0,
             next: 0,
@@ -160,7 +161,8 @@ impl NetDb {
     /// Net rooted at source segment `seg`.
     #[inline]
     pub fn net_at_source(&self, seg: Segment) -> Option<NetId> {
-        self.by_source.get(self.space().index(seg))
+        self.owner(seg)
+            .filter(|id| self.nets.get(id).is_some_and(|n| n.source == seg))
     }
 
     /// Look up a net.
@@ -188,8 +190,7 @@ impl NetDb {
     /// [`RouteError::ResourceInUse`] if the source segment belongs to
     /// another net — use [`NetDb::net_at_source`] to extend instead.
     pub fn create(&mut self, source_pin: Pin, seg: Segment) -> Result<NetId> {
-        let idx = self.space().index(seg);
-        if let Some(owner) = self.occ.get(idx) {
+        if let Some(owner) = self.owner(seg) {
             // Rooting a second net at the same source is a user error;
             // extending the existing net is the supported operation.
             return Err(RouteError::ResourceInUse {
@@ -210,7 +211,6 @@ impl NetDb {
                 intents: Vec::new(),
             },
         );
-        self.by_source.set(idx, Some(id));
         self.occupy(seg, id);
         Ok(id)
     }
@@ -271,8 +271,10 @@ impl NetDb {
         }
     }
 
-    /// Remove one PIP from net `id`, releasing its target segment.
-    /// Returns `true` if the PIP was recorded for the net.
+    /// Remove one PIP from net `id`, releasing its target segment if the
+    /// net still owns it and it is not the net's own source, which the
+    /// net keeps until [`NetDb::remove_net`]. Returns `true` if the PIP
+    /// was recorded for the net.
     pub fn remove_pip(&mut self, id: NetId, rc: RowCol, pip: Pip, target: Segment) -> bool {
         let Some(net) = self.nets.get_mut(&id) else {
             return false;
@@ -281,7 +283,9 @@ impl NetDb {
             return false;
         };
         net.pips.remove(pos);
-        self.release(target);
+        if net.source != target {
+            self.release_owned(target, id);
+        }
         true
     }
 
@@ -300,10 +304,6 @@ impl NetDb {
     pub fn remove_net(&mut self, id: NetId) -> Option<Net> {
         let net = self.nets.remove(&id)?;
         let space = self.space();
-        let src = space.index(net.source);
-        if self.by_source.get(src) == Some(id) {
-            self.by_source.set(src, None);
-        }
         self.release_owned(net.source, id);
         for &(rc, pip) in &net.pips {
             if let Some(target) = segment::canonicalize(space.dims(), rc, pip.to) {
@@ -345,15 +345,6 @@ impl NetDb {
             self.used += 1;
         }
         self.occ.set(idx, Some(id));
-    }
-
-    /// Release `seg` regardless of owner.
-    fn release(&mut self, seg: Segment) {
-        let idx = self.space().index(seg);
-        if self.occ.get(idx).is_some() {
-            self.occ.set(idx, None);
-            self.used -= 1;
-        }
     }
 
     /// Release `seg` only if `id` owns it (two PIPs of one net may share a
@@ -431,6 +422,41 @@ mod tests {
             !db.remove_pip(a, RowCol::new(0, 0), pip, target),
             "double remove"
         );
+    }
+
+    #[test]
+    fn remove_pip_keeps_the_nets_own_source() {
+        let mut db = db();
+        let src = seg(0, 0, wire::S0_YQ);
+        let a = db.create(Pin::new(0, 0, wire::S0_YQ), src).unwrap();
+        let pip = Pip::new(wire::out(3), wire::S0_YQ);
+        db.add_pip(a, RowCol::new(0, 0), pip, src).unwrap();
+        assert!(db.remove_pip(a, RowCol::new(0, 0), pip, src));
+        assert_eq!(db.net_at_source(src), Some(a));
+        assert_eq!(db.used_segments(), 1);
+    }
+
+    #[test]
+    fn remove_pip_leaves_a_target_another_net_claimed() {
+        let mut db = db();
+        let a = db
+            .create(Pin::new(0, 0, wire::S0_YQ), seg(0, 0, wire::S0_YQ))
+            .unwrap();
+        let b = db
+            .create(Pin::new(1, 0, wire::S1_YQ), seg(1, 0, wire::S1_YQ))
+            .unwrap();
+        // Two PIPs of `a` drive one segment; removing the first frees it.
+        let shared = seg(0, 0, wire::single(Dir::East, 3));
+        let rc = RowCol::new(0, 0);
+        let p1 = Pip::new(wire::out(0), wire::single(Dir::East, 3));
+        let p2 = Pip::new(wire::out(1), wire::single(Dir::East, 3));
+        db.add_pip(a, rc, p1, shared).unwrap();
+        db.add_pip(a, rc, p2, shared).unwrap();
+        assert!(db.remove_pip(a, rc, p1, shared));
+        db.add_pip(b, rc, p1, shared).unwrap();
+        assert!(db.remove_pip(a, rc, p2, shared));
+        assert_eq!(db.owner(shared), Some(b));
+        assert_eq!(db.used_segments(), 3);
     }
 
     #[test]

@@ -33,16 +33,17 @@ use jbits::{Bitstream, Pip};
 use jroute_obs::{Counter, Recorder};
 use std::collections::HashMap;
 use virtex::wire::HEX_SPAN;
-use virtex::{BBox, Device, RowCol, SegIdx, SegSpace, SegVec, Segment, StampedSegVec};
+use virtex::{BBox, Device, RowCol, SegIdx, SegSpace, SegVec, Segment};
 
 /// Dense per-segment congestion state that persists across rip-up
 /// iterations.
 ///
-/// PathFinder's accounting step used to rescan the whole segment space
-/// every iteration; since only segments whose occupancy changed (or that
-/// were already overused) can need a history bump, this tracks a touched
-/// set and walks `prev overused ∪ touched` instead — work proportional
-/// to routing activity, not device size (ROADMAP E9/E10).
+/// A segment can only be overused at the end of an iteration if it was
+/// overused at the end of the last one or has been occupied since (a
+/// release cannot create overuse), so accounting lists every occupy and
+/// walks `prev overused ∪ occupied` rather than the segment space —
+/// work proportional to routing activity, not device size (ROADMAP
+/// E9/E10).
 ///
 /// It also maintains the reverse overused-segment → nets index that
 /// drives incremental rip-up: the first occupant of every segment lives
@@ -56,12 +57,11 @@ struct Congestion {
     present: SegVec<u16>,
     /// Accumulated history cost (grows while a segment stays overused).
     history: SegVec<u32>,
-    /// Segments overused at the last [`Congestion::account`] call.
+    /// Segments overused at the last [`Congestion::account`] call, in
+    /// index order.
     overused: Vec<SegIdx>,
-    /// Segments whose occupancy changed since the last account.
-    touched: Vec<SegIdx>,
-    /// Dedup marker for `touched` (O(1) epoch reset per iteration).
-    touched_mark: StampedSegVec<()>,
+    /// Segments occupied since the last account, once per occupy.
+    occupied: Vec<SegIdx>,
     /// First occupant net of each segment, stored as `net + 1` (0 = free).
     owner: SegVec<u32>,
     /// Occupants beyond the first, keyed by segment (congested slots only).
@@ -74,16 +74,9 @@ impl Congestion {
             present: SegVec::new(space, 0),
             history: SegVec::new(space, 0),
             overused: Vec::new(),
-            touched: Vec::new(),
-            touched_mark: StampedSegVec::new(space),
+            occupied: Vec::new(),
             owner: SegVec::new(space, 0),
             extra: HashMap::new(),
-        }
-    }
-
-    fn touch(&mut self, idx: SegIdx) {
-        if self.touched_mark.set_once(idx, ()) {
-            self.touched.push(idx);
         }
     }
 
@@ -94,7 +87,7 @@ impl Congestion {
         } else {
             self.extra.entry(idx).or_default().push(net);
         }
-        self.touch(idx);
+        self.occupied.push(idx);
     }
 
     fn release(&mut self, idx: SegIdx, net: u32) {
@@ -124,7 +117,6 @@ impl Congestion {
                 self.extra.remove(&idx);
             }
         }
-        self.touch(idx);
     }
 
     /// Occupy a freshly built tree as net `net`'s route.
@@ -161,26 +153,24 @@ impl Congestion {
         self.history[idx].saturating_add((self.present[idx] as u32).saturating_mul(pres_fac))
     }
 
-    /// End-of-iteration accounting: bump history on every overused
+    /// End-of-iteration accounting: bump history once on every overused
     /// segment and return how many there are. Only segments that were
-    /// overused last round or touched since can qualify, so only those
-    /// are visited.
+    /// overused last round or occupied since can qualify, so only those
+    /// are visited; the survivors are sorted and deduplicated.
     fn account(&mut self, hist_cost: u32) -> usize {
-        for &idx in &self.overused {
-            if !self.touched_mark.is_set(idx) {
-                self.touched.push(idx);
-            }
-        }
-        let mut still = Vec::new();
-        for &idx in &self.touched {
-            if self.present[idx] > 1 {
-                self.history[idx] += hist_cost;
-                still.push(idx);
-            }
+        let present = &self.present;
+        let mut still: Vec<SegIdx> = self
+            .overused
+            .drain(..)
+            .chain(self.occupied.drain(..))
+            .filter(|&idx| present[idx] > 1)
+            .collect();
+        still.sort_unstable();
+        still.dedup();
+        for &idx in &still {
+            self.history[idx] += hist_cost;
         }
         self.overused = still;
-        self.touched.clear();
-        self.touched_mark.clear();
         self.overused.len()
     }
 }
@@ -614,7 +604,7 @@ pub fn route_all_obs(
             routes[i] = Some(cong.commit(i, &specs[i], tree));
         }
 
-        // Congestion accounting over prev-overused ∪ touched only.
+        // Congestion accounting over prev-overused ∪ occupied only.
         let overused = cong.account(cfg.hist_cost);
         obs.event("pathfinder.overused", overused as u64);
         h_iter_overuse.record(overused as u64);
@@ -967,6 +957,35 @@ mod tests {
             assert_eq!(net.segments.iter().filter(|&&s| s == sink_seg).count(), 1);
             assert_eq!(net.sink_delays[0], net.sink_delays[2]);
         }
+    }
+
+    #[test]
+    fn account_bumps_each_overused_segment_once() {
+        let mut cong = Congestion::new(SegSpace::new(virtex::Dims::new(2, 2)));
+        let (churned, stale, released, lone) = (SegIdx(9), SegIdx(3), SegIdx(5), SegIdx(7));
+        for idx in [churned, stale, released] {
+            cong.occupy(idx, 0);
+            cong.occupy(idx, 1);
+        }
+        cong.occupy(lone, 0);
+        assert_eq!(cong.account(10), 3);
+
+        // Rip up and re-commit both occupants of `churned` twice over;
+        // leave `stale` alone; only release on `released` and `lone`.
+        for _ in 0..2 {
+            for net in [1, 0] {
+                cong.release(churned, net);
+                cong.occupy(churned, net);
+            }
+        }
+        cong.release(released, 1);
+        cong.release(lone, 0);
+        assert_eq!(cong.account(10), 2);
+        assert_eq!(cong.overused, vec![stale, churned]);
+        assert_eq!(cong.history[churned], 20);
+        assert_eq!(cong.history[stale], 20);
+        assert_eq!(cong.history[released], 10);
+        assert_eq!(cong.history[lone], 0);
     }
 
     #[test]

@@ -763,11 +763,7 @@ impl Router {
     }
 
     fn remember_intents_of(&mut self, source: Segment) {
-        let Some(id) = self
-            .nets
-            .net_at_source(source)
-            .or_else(|| self.nets.owner(source))
-        else {
+        let Some(id) = self.nets.owner(source) else {
             return;
         };
         if let Some(net) = self.nets.net(id) {

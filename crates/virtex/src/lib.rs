@@ -43,6 +43,6 @@ pub use geometry::{BBox, Dims, Dir, RowCol};
 pub use interconnect::{Edge, Interconnect};
 pub use lookahead::{CostModel, Lookahead};
 pub use segment::{Segment, Tap};
-pub use segspace::{SegIdx, SegSpace, SegVec, StampedSegVec};
+pub use segspace::{SegIdx, SegSpace, SegVec};
 pub use template::{template_value, TemplateValue};
 pub use wire::{Wire, WireKind};

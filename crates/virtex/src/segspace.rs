@@ -1,4 +1,4 @@
-//! The dense canonical-segment index space and its typed maps.
+//! The dense canonical-segment index space and its typed map.
 //!
 //! Routing state is a property of *canonical segments* ([`Segment`]), and
 //! every hot router structure (occupancy, congestion, search scratch)
@@ -14,10 +14,7 @@
 //!   wires);
 //! * [`SegIdx`] — a typed dense index, so segment indices cannot be
 //!   confused with tile indices or net ids;
-//! * [`SegVec`] — a typed dense map `SegIdx -> T`;
-//! * [`StampedSegVec`] — the epoch-stamped variant whose `clear` is O(1),
-//!   for per-search / per-iteration scratch that is reset far more often
-//!   than it is fully written.
+//! * [`SegVec`] — a typed dense map `SegIdx -> T`.
 
 use crate::geometry::Dims;
 use crate::segment::Segment;
@@ -167,84 +164,6 @@ impl<T> std::ops::IndexMut<SegIdx> for SegVec<T> {
     }
 }
 
-/// A dense map with O(1) bulk reset: each slot carries an epoch stamp,
-/// and [`StampedSegVec::clear`] just bumps the epoch, invalidating every
-/// slot at once. The map this replaces would be cleared with an O(n)
-/// `fill` (or reallocated) before every search / iteration.
-#[derive(Debug, Clone)]
-pub struct StampedSegVec<T> {
-    space: SegSpace,
-    epoch: u32,
-    stamp: Vec<u32>,
-    data: Vec<T>,
-}
-
-impl<T: Copy + Default> StampedSegVec<T> {
-    /// Empty map over `space` (every slot unset).
-    pub fn new(space: SegSpace) -> Self {
-        StampedSegVec {
-            space,
-            epoch: 1,
-            stamp: vec![0; space.len()],
-            data: vec![T::default(); space.len()],
-        }
-    }
-
-    /// The space this map covers.
-    #[inline]
-    pub fn space(&self) -> SegSpace {
-        self.space
-    }
-
-    /// Unset every slot in O(1) (amortised: a full `stamp` rewrite only
-    /// on epoch wrap-around, once per `u32::MAX` clears).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Whether `idx` holds a value set since the last [`clear`].
-    ///
-    /// [`clear`]: StampedSegVec::clear
-    #[inline]
-    pub fn is_set(&self, idx: SegIdx) -> bool {
-        self.stamp[idx.as_usize()] == self.epoch
-    }
-
-    /// Value at `idx`, if set this epoch.
-    #[inline]
-    pub fn get(&self, idx: SegIdx) -> Option<T> {
-        if self.is_set(idx) {
-            Some(self.data[idx.as_usize()])
-        } else {
-            None
-        }
-    }
-
-    /// Set `idx` to `value`.
-    #[inline]
-    pub fn set(&mut self, idx: SegIdx, value: T) {
-        self.stamp[idx.as_usize()] = self.epoch;
-        self.data[idx.as_usize()] = value;
-    }
-
-    /// Set `idx` only if unset this epoch; returns whether it was newly
-    /// set (the building block for dedup-marker use).
-    #[inline]
-    pub fn set_once(&mut self, idx: SegIdx, value: T) -> bool {
-        if self.is_set(idx) {
-            false
-        } else {
-            self.set(idx, value);
-            true
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,45 +223,5 @@ mod tests {
         assert_eq!(v[SegIdx(3)].load(Ordering::Relaxed), u32::MAX);
         v[SegIdx(3)].store(9, Ordering::Relaxed);
         assert_eq!(v[SegIdx(3)].load(Ordering::Relaxed), 9);
-    }
-
-    #[test]
-    fn stamped_segvec_clears_in_o1() {
-        let space = SegSpace::new(Dims::new(1, 1));
-        let mut v: StampedSegVec<u32> = StampedSegVec::new(space);
-        let idx = SegIdx(5);
-        assert!(!v.is_set(idx));
-        assert_eq!(v.get(idx), None);
-        v.set(idx, 3);
-        assert_eq!(v.get(idx), Some(3));
-        v.clear();
-        assert!(!v.is_set(idx));
-        assert_eq!(v.get(idx), None);
-        v.set(idx, 4);
-        assert_eq!(v.get(idx), Some(4));
-    }
-
-    #[test]
-    fn stamped_segvec_set_once_dedups() {
-        let space = SegSpace::new(Dims::new(1, 1));
-        let mut v: StampedSegVec<()> = StampedSegVec::new(space);
-        assert!(v.set_once(SegIdx(2), ()));
-        assert!(!v.set_once(SegIdx(2), ()));
-        v.clear();
-        assert!(v.set_once(SegIdx(2), ()));
-    }
-
-    #[test]
-    fn stamped_segvec_survives_epoch_wraparound() {
-        let space = SegSpace::new(Dims::new(1, 1));
-        let mut v: StampedSegVec<u8> = StampedSegVec::new(space);
-        v.set(SegIdx(0), 1);
-        // Force the wrap path directly rather than clearing 2^32 times.
-        v.epoch = u32::MAX;
-        v.clear();
-        assert_eq!(v.epoch, 1);
-        assert!(!v.is_set(SegIdx(0)), "stale stamps must not resurrect");
-        v.set(SegIdx(0), 2);
-        assert_eq!(v.get(SegIdx(0)), Some(2));
     }
 }

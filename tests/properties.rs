@@ -182,7 +182,10 @@ fn template_router_respects_classes() {
 /// The dense `NetDb` occupancy (SegVec over the segment space) behaves
 /// exactly like a sparse `HashMap<Segment, NetId>` reference model under
 /// random create / add_pip / remove_pip / remove_net sequences: same
-/// accept/reject decisions, same owners, same used-segment count.
+/// accept/reject decisions, same owners, same used-segment count. A net
+/// owns its source for its whole life (removing a hand-set PIP into it
+/// keeps it), so `net_at_source` finds every live net at its source and
+/// nothing at any other owned segment.
 #[test]
 fn netdb_matches_sparse_reference_model() {
     harness::check("netdb_matches_sparse_reference_model", |rng| {
@@ -217,21 +220,27 @@ fn netdb_matches_sparse_reference_model() {
                     }
                 }
                 3..=6 => {
-                    // add_pip — a real PIP of the architecture, so the
-                    // canonical target is well defined.
+                    // add_pip — mostly a real PIP of the architecture, so
+                    // the canonical target is well defined; sometimes a
+                    // hand-set PIP looping back into the net's own source.
                     if nets.is_empty() {
                         continue;
                     }
                     let n = rng.gen_range(0usize..nets.len());
                     let id = nets[n].0;
-                    let rc = RowCol::new(rng.gen_range(0u16..16), rng.gen_range(0u16..24));
-                    let from = Wire(rng.gen_range(0u16..430));
-                    let mut fan = Vec::new();
-                    dev.arch().pips_from(rc, from, &mut fan);
-                    if fan.is_empty() {
-                        continue;
-                    }
-                    let to = fan[rng.gen_range(0usize..fan.len())];
+                    let (rc, from, to) = if rng.gen_range(0u32..4) == 0 {
+                        let src = nets[n].1;
+                        (src.rc, wire::out(0), src.wire)
+                    } else {
+                        let rc = RowCol::new(rng.gen_range(0u16..16), rng.gen_range(0u16..24));
+                        let from = Wire(rng.gen_range(0u16..430));
+                        let mut fan = Vec::new();
+                        dev.arch().pips_from(rc, from, &mut fan);
+                        if fan.is_empty() {
+                            continue;
+                        }
+                        (rc, from, fan[rng.gen_range(0usize..fan.len())])
+                    };
                     let target = dev
                         .canonicalize(rc, to)
                         .expect("pips connect existing wires");
@@ -255,20 +264,23 @@ fn netdb_matches_sparse_reference_model() {
                     }
                 }
                 7 => {
-                    // remove_pip — releases the target unconditionally.
+                    // remove_pip — releases the target if the net still
+                    // owns it, unless it is the net's own source.
                     let candidates: Vec<usize> =
                         (0..nets.len()).filter(|&i| !nets[i].2.is_empty()).collect();
                     if candidates.is_empty() {
                         continue;
                     }
                     let n = candidates[rng.gen_range(0usize..candidates.len())];
-                    let (id, _, ref mut pips) = nets[n];
+                    let (id, source, ref mut pips) = nets[n];
                     let (rc, pip, target) = pips.remove(rng.gen_range(0usize..pips.len()));
                     assert!(
                         db.remove_pip(id, rc, pip, target),
                         "recorded pip must remove"
                     );
-                    model.remove(&target);
+                    if target != source && model.get(&target) == Some(&id) {
+                        model.remove(&target);
+                    }
                 }
                 _ => {
                     // remove_net — releases only segments the net owns.
@@ -277,9 +289,7 @@ fn netdb_matches_sparse_reference_model() {
                     }
                     let (id, source, pips) = nets.swap_remove(rng.gen_range(0usize..nets.len()));
                     assert!(db.remove_net(id).is_some());
-                    if model.get(&source) == Some(&id) {
-                        model.remove(&source);
-                    }
+                    assert_eq!(model.remove(&source), Some(id), "a net owns its source");
                     for (_, _, target) in pips {
                         if model.get(&target) == Some(&id) {
                             model.remove(&target);
@@ -288,6 +298,14 @@ fn netdb_matches_sparse_reference_model() {
                 }
             }
             assert_eq!(db.used_segments(), model.len());
+            for &(id, source, _) in &nets {
+                assert_eq!(db.net_at_source(source), Some(id), "net lost its source");
+            }
+            for &seg in model.keys() {
+                if !nets.iter().any(|&(_, source, _)| source == seg) {
+                    assert_eq!(db.net_at_source(seg), None, "{seg} is not a source");
+                }
+            }
         }
 
         // Full occupancy equivalence at the end of the sequence.
