@@ -7,9 +7,9 @@
 //! feedback (`XQ` back into input 1 of both LUTs) and the carry ripple
 //! are routed through the fabric by the auto-router.
 
-use crate::core_trait::{CoreState, RtpCore};
+use crate::core_trait::{CoreState, Design, RtpCore};
 use crate::util::lut_mask;
-use jroute::{EndPoint, Pin, PortDir, PortId, Result, Router};
+use jroute::{Pin, PortDir, PortId};
 use virtex::wire::{self, slice_in_pin, slice_out_pin};
 use virtex::RowCol;
 
@@ -76,7 +76,8 @@ impl RtpCore for Accumulator {
         self.origin = rc;
     }
 
-    fn implement(&mut self, router: &mut Router) -> Result<()> {
+    fn design(&self) -> Design {
+        let mut d = Design::new();
         for bit in 0..self.width {
             let rc = self.rc(bit);
             // Address bits: 0 = acc (input 1), 1 = a (input 2),
@@ -93,43 +94,35 @@ impl RtpCore for Accumulator {
                 let cin = bit != 0 && (addr >> 2) & 1 == 1;
                 (acc & a) | (acc & cin) | (a & cin)
             });
-            router.bits_mut().set_lut(rc, 0, 0, sum)?;
-            self.state.record_lut(rc, 0, 0);
-            router.bits_mut().set_lut(rc, 0, 1, carry)?;
-            self.state.record_lut(rc, 0, 1);
-            router.route_pip(
+            d.lut(rc, 0, 0, sum);
+            d.lut(rc, 0, 1, carry);
+            d.pip(
                 rc,
                 wire::gclk(self.gclk),
                 wire::slice_in(0, slice_in_pin::CLK),
-            )?;
+            );
             // Accumulator feedback into input 1 of both LUTs.
-            let xq: EndPoint = Pin::at(rc, wire::slice_out(0, slice_out_pin::XQ)).into();
-            router.route_fanout(
-                &xq,
-                &[
+            d.net(
+                Pin::at(rc, wire::slice_out(0, slice_out_pin::XQ)),
+                vec![
                     Pin::at(rc, wire::slice_in(0, slice_in_pin::F1)).into(),
                     Pin::at(rc, wire::slice_in(0, slice_in_pin::G1)).into(),
                 ],
-            )?;
-            self.state.record_internal_net(xq);
+            );
         }
         // Carry ripple into input 3.
         for bit in 0..self.width - 1 {
-            let y: EndPoint = Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::Y)).into();
             let next = self.rc(bit + 1);
-            router.route_fanout(
-                &y,
-                &[
+            d.net(
+                Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::Y)),
+                vec![
                     Pin::at(next, wire::slice_in(0, slice_in_pin::F3)).into(),
                     Pin::at(next, wire::slice_in(0, slice_in_pin::G3)).into(),
                 ],
-            )?;
-            self.state.record_internal_net(y);
+            );
         }
-        self.state
-            .record_internal_net(Pin::at(self.rc(0), wire::gclk(self.gclk)).into());
         // Ports.
-        let a_targets: Vec<Vec<EndPoint>> = (0..self.width)
+        let a_targets = (0..self.width)
             .map(|bit| {
                 let rc = self.rc(bit);
                 vec![
@@ -138,22 +131,19 @@ impl RtpCore for Accumulator {
                 ]
             })
             .collect();
-        self.state
-            .define_or_rebind_group(router, "a", PortDir::Input, a_targets)?;
-        let acc_targets: Vec<Vec<EndPoint>> = (0..self.width)
+        d.group("a", PortDir::Input, a_targets);
+        let acc_targets = (0..self.width)
             .map(|bit| vec![Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::XQ)).into()])
             .collect();
-        self.state
-            .define_or_rebind_group(router, "acc", PortDir::Output, acc_targets)?;
-        self.state.set_placed(true);
-        Ok(())
-    }
-
-    fn remove(&mut self, router: &mut Router) -> Result<()> {
-        self.state.tear_down(router)
+        d.group("acc", PortDir::Output, acc_targets);
+        d
     }
 
     fn state(&self) -> &CoreState {
         &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.state
     }
 }

@@ -6,9 +6,9 @@
 //! (the constant bit folded into both masks). Carries ripple through
 //! general routing, and all external connection points are ports.
 
-use crate::core_trait::{CoreState, RtpCore};
+use crate::core_trait::{CoreState, Design, RtpCore};
 use crate::util::lut_mask;
-use jroute::{EndPoint, Pin, PortDir, PortId, Result, Router};
+use jroute::{Pin, PortDir, PortId};
 use virtex::wire::{self, slice_in_pin, slice_out_pin};
 use virtex::RowCol;
 
@@ -44,7 +44,8 @@ impl ConstAdder {
     }
 
     /// Change the constant (takes effect at the next `implement`; use
-    /// [`crate::replace_with`] for the full §3.3 replace flow).
+    /// [`crate::replace_with`] for the §3.3 replace flow, which keeps
+    /// the adder's routes).
     pub fn set_constant(&mut self, constant: u64) {
         self.constant = constant;
     }
@@ -97,7 +98,8 @@ impl RtpCore for ConstAdder {
         self.origin = rc;
     }
 
-    fn implement(&mut self, router: &mut Router) -> Result<()> {
+    fn design(&self) -> Design {
+        let mut d = Design::new();
         // LUTs: F = a ^ cin ^ k, G = majority(a, cin, k), with a on
         // input 1 (address bit 0) and cin on input 2 (address bit 1).
         for bit in 0..self.width {
@@ -113,24 +115,22 @@ impl RtpCore for ConstAdder {
                 let c = (addr >> 1) & 1 == 1;
                 (a & c) | (a & k) | (c & k)
             });
-            router.bits_mut().set_lut(rc, 0, 0, sum)?;
-            self.state.record_lut(rc, 0, 0);
-            router.bits_mut().set_lut(rc, 0, 1, carry)?;
-            self.state.record_lut(rc, 0, 1);
+            d.lut(rc, 0, 0, sum);
+            d.lut(rc, 0, 1, carry);
         }
         // Internal carry chain: Y of bit i feeds F2 and G2 of bit i+1.
         for bit in 0..self.width - 1 {
-            let y: EndPoint = Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::Y)).into();
             let next = self.rc(bit + 1);
-            let sinks: Vec<EndPoint> = vec![
-                Pin::at(next, wire::slice_in(0, slice_in_pin::F2)).into(),
-                Pin::at(next, wire::slice_in(0, slice_in_pin::G2)).into(),
-            ];
-            router.route_fanout(&y, &sinks)?;
-            self.state.record_internal_net(y);
+            d.net(
+                Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::Y)),
+                vec![
+                    Pin::at(next, wire::slice_in(0, slice_in_pin::F2)).into(),
+                    Pin::at(next, wire::slice_in(0, slice_in_pin::G2)).into(),
+                ],
+            );
         }
         // Ports: each `a` bit fans out to both LUTs' input 1.
-        let a_targets: Vec<Vec<EndPoint>> = (0..self.width)
+        let a_targets = (0..self.width)
             .map(|bit| {
                 let rc = self.rc(bit);
                 vec![
@@ -139,41 +139,36 @@ impl RtpCore for ConstAdder {
                 ]
             })
             .collect();
-        self.state
-            .define_or_rebind_group(router, "a", PortDir::Input, a_targets)?;
-        let sum_targets: Vec<Vec<EndPoint>> = (0..self.width)
+        d.group("a", PortDir::Input, a_targets);
+        let sum_targets = (0..self.width)
             .map(|bit| vec![Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::X)).into()])
             .collect();
-        self.state
-            .define_or_rebind_group(router, "sum", PortDir::Output, sum_targets)?;
+        d.group("sum", PortDir::Output, sum_targets);
         let cin = self.rc(0);
-        self.state.define_or_rebind_group(
-            router,
+        d.group(
             "cin",
             PortDir::Input,
             vec![vec![
                 Pin::at(cin, wire::slice_in(0, slice_in_pin::F2)).into(),
                 Pin::at(cin, wire::slice_in(0, slice_in_pin::G2)).into(),
             ]],
-        )?;
+        );
         let cout = self.rc(self.width - 1);
-        self.state.define_or_rebind_group(
-            router,
+        d.group(
             "cout",
             PortDir::Output,
             vec![vec![
                 Pin::at(cout, wire::slice_out(0, slice_out_pin::Y)).into()
             ]],
-        )?;
-        self.state.set_placed(true);
-        Ok(())
-    }
-
-    fn remove(&mut self, router: &mut Router) -> Result<()> {
-        self.state.tear_down(router)
+        );
+        d
     }
 
     fn state(&self) -> &CoreState {
         &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.state
     }
 }

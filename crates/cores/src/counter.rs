@@ -8,9 +8,9 @@
 //! `XQ` back into the LUT inputs is routed through the fabric by the
 //! auto-router.
 
-use crate::core_trait::{CoreState, RtpCore};
+use crate::core_trait::{CoreState, Design, RtpCore};
 use crate::util::lut_mask;
-use jroute::{EndPoint, Pin, PortDir, PortId, Result, Router};
+use jroute::{Pin, PortDir, PortId};
 use virtex::wire::{self, slice_in_pin, slice_out_pin};
 use virtex::RowCol;
 
@@ -73,7 +73,8 @@ impl RtpCore for Counter {
         self.origin = rc;
     }
 
-    fn implement(&mut self, router: &mut Router) -> Result<()> {
+    fn design(&self) -> Design {
+        let mut d = Design::new();
         for bit in 0..self.width {
             let rc = self.rc(bit);
             // Address bit 0 = xq (input 1), address bit 1 = cin (input 2).
@@ -86,54 +87,47 @@ impl RtpCore for Counter {
                     lut_mask(|a| (a & 1 == 1) && ((a >> 1) & 1 == 1)),
                 )
             };
-            router.bits_mut().set_lut(rc, 0, 0, sum)?;
-            self.state.record_lut(rc, 0, 0);
-            router.bits_mut().set_lut(rc, 0, 1, carry)?;
-            self.state.record_lut(rc, 0, 1);
+            d.lut(rc, 0, 0, sum);
+            d.lut(rc, 0, 1, carry);
             // Clock the F flip-flop.
-            router.route_pip(
+            d.pip(
                 rc,
                 wire::gclk(self.gclk),
                 wire::slice_in(0, slice_in_pin::CLK),
-            )?;
+            );
             // Feedback: XQ back into both LUTs' input 1 (the §4 "output
             // fed back to one input" wiring, found by the auto-router).
-            let xq: EndPoint = Pin::at(rc, wire::slice_out(0, slice_out_pin::XQ)).into();
-            let fb_sinks: Vec<EndPoint> = vec![
-                Pin::at(rc, wire::slice_in(0, slice_in_pin::F1)).into(),
-                Pin::at(rc, wire::slice_in(0, slice_in_pin::G1)).into(),
-            ];
-            router.route_fanout(&xq, &fb_sinks)?;
-            self.state.record_internal_net(xq);
+            d.net(
+                Pin::at(rc, wire::slice_out(0, slice_out_pin::XQ)),
+                vec![
+                    Pin::at(rc, wire::slice_in(0, slice_in_pin::F1)).into(),
+                    Pin::at(rc, wire::slice_in(0, slice_in_pin::G1)).into(),
+                ],
+            );
         }
         // Carry ripple: Y of bit i to input 2 of bit i+1's LUTs.
         for bit in 0..self.width - 1 {
-            let y: EndPoint = Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::Y)).into();
             let next = self.rc(bit + 1);
-            let sinks: Vec<EndPoint> = vec![
-                Pin::at(next, wire::slice_in(0, slice_in_pin::F2)).into(),
-                Pin::at(next, wire::slice_in(0, slice_in_pin::G2)).into(),
-            ];
-            router.route_fanout(&y, &sinks)?;
-            self.state.record_internal_net(y);
+            d.net(
+                Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::Y)),
+                vec![
+                    Pin::at(next, wire::slice_in(0, slice_in_pin::F2)).into(),
+                    Pin::at(next, wire::slice_in(0, slice_in_pin::G2)).into(),
+                ],
+            );
         }
-        // The clock net is also internal state to tear down.
-        self.state
-            .record_internal_net(Pin::at(self.rc(0), wire::gclk(self.gclk)).into());
-        let q_targets: Vec<Vec<EndPoint>> = (0..self.width)
+        let q_targets = (0..self.width)
             .map(|bit| vec![Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::XQ)).into()])
             .collect();
-        self.state
-            .define_or_rebind_group(router, "q", PortDir::Output, q_targets)?;
-        self.state.set_placed(true);
-        Ok(())
-    }
-
-    fn remove(&mut self, router: &mut Router) -> Result<()> {
-        self.state.tear_down(router)
+        d.group("q", PortDir::Output, q_targets);
+        d
     }
 
     fn state(&self) -> &CoreState {
         &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.state
     }
 }

@@ -7,9 +7,9 @@
 //! self-starts from the all-zeros reset state and cycles through
 //! `2^w - 1` states (all-ones is the lock-up state).
 
-use crate::core_trait::{CoreState, RtpCore};
+use crate::core_trait::{CoreState, Design, RtpCore};
 use crate::util::{buffer_mask, lut_mask};
-use jroute::{EndPoint, Pin, PortDir, PortId, Result, Router};
+use jroute::{EndPoint, Pin, PortDir, PortId};
 use virtex::wire::{self, slice_in_pin, slice_out_pin};
 use virtex::RowCol;
 
@@ -71,7 +71,8 @@ impl RtpCore for Lfsr {
         self.origin = rc;
     }
 
-    fn implement(&mut self, router: &mut Router) -> Result<()> {
+    fn design(&self) -> Design {
+        let mut d = Design::new();
         let w = self.width;
         for bit in 0..w {
             let rc = self.rc(bit);
@@ -81,19 +82,15 @@ impl RtpCore for Lfsr {
             } else {
                 buffer_mask(0) // next = previous bit on F1.
             };
-            router.bits_mut().set_lut(rc, 0, 0, mask)?;
-            self.state.record_lut(rc, 0, 0);
-            router.route_pip(
+            d.lut(rc, 0, 0, mask);
+            d.pip(
                 rc,
                 wire::gclk(self.gclk),
                 wire::slice_in(0, slice_in_pin::CLK),
-            )?;
+            );
         }
-        self.state
-            .record_internal_net(Pin::at(self.rc(0), wire::gclk(self.gclk)).into());
         // Shift chain: q[i] -> F1 of bit i+1; the taps also feed bit 0.
         for bit in 0..w {
-            let q: EndPoint = Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::XQ)).into();
             let mut sinks: Vec<EndPoint> = Vec::new();
             if bit + 1 < w {
                 sinks.push(Pin::at(self.rc(bit + 1), wire::slice_in(0, slice_in_pin::F1)).into());
@@ -105,24 +102,24 @@ impl RtpCore for Lfsr {
                 sinks.push(Pin::at(self.rc(0), wire::slice_in(0, slice_in_pin::F2)).into());
             }
             if !sinks.is_empty() {
-                router.route_fanout(&q, &sinks)?;
-                self.state.record_internal_net(q);
+                d.net(
+                    Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::XQ)),
+                    sinks,
+                );
             }
         }
-        let q_targets: Vec<Vec<EndPoint>> = (0..w)
+        let q_targets = (0..w)
             .map(|bit| vec![Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::XQ)).into()])
             .collect();
-        self.state
-            .define_or_rebind_group(router, "q", PortDir::Output, q_targets)?;
-        self.state.set_placed(true);
-        Ok(())
-    }
-
-    fn remove(&mut self, router: &mut Router) -> Result<()> {
-        self.state.tear_down(router)
+        d.group("q", PortDir::Output, q_targets);
+        d
     }
 
     fn state(&self) -> &CoreState {
         &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.state
     }
 }

@@ -13,8 +13,21 @@
 //!   (LUT-based distributed arithmetic);
 //! * [`Register`] — a D register bank.
 //!
-//! Plus the RTR verbs of §3.3: [`relocate`] and [`replace_with`], which
-//! exercise unroute → rebind → automatic reconnection.
+//! Each core states its configuration once, as a [`Design`]: LUT
+//! contents plus a [`Wiring`] (LUT sites, fixed PIPs, internal nets and
+//! port targets), computed from its parameters without a `Router`.
+//! [`RtpCore::implement`] applies it; a second `implement` on a placed
+//! core configures nothing new.
+//!
+//! Plus the RTR verbs of §3.3. [`replace_with`] applies a change and
+//! compares the core's wiring with what is on the device:
+//!
+//! * equal wiring (a new constant): only `implement` runs, which
+//!   rewrites the LUT masks that changed and keeps every route;
+//! * changed wiring (a move): detach → remove → `implement`, i.e.
+//!   unroute → rebind → automatic reconnection.
+//!
+//! [`relocate`] is a `replace_with` whose change moves the origin.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,7 +45,7 @@ pub mod util;
 
 pub use accumulator::Accumulator;
 pub use adder::ConstAdder;
-pub use core_trait::{detach, relocate, replace_with, CoreState, RtpCore};
+pub use core_trait::{detach, relocate, replace_with, CoreState, Design, RtpCore, Wiring};
 pub use counter::Counter;
 pub use floorplan::{Floorplan, Region, RegionId};
 pub use lfsr::Lfsr;

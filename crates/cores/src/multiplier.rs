@@ -9,11 +9,12 @@
 //! A 4-bit input times a 4-bit constant fits one 4-input LUT per product
 //! bit: output bit `j` is the LUT truth table `((a * K) >> j) & 1` over
 //! the input nibble. Changing the constant is purely a LUT rewrite — the
-//! classic run-time-parameterizable core.
+//! classic run-time-parameterizable core — so [`crate::replace_with`]
+//! keeps the multiplier's routes and writes only the changed LUTs.
 
-use crate::core_trait::{CoreState, RtpCore};
+use crate::core_trait::{CoreState, Design, RtpCore};
 use crate::util::lut_mask;
-use jroute::{EndPoint, Pin, PortDir, PortId, Result, Router};
+use jroute::{Pin, PortDir, PortId};
 use virtex::wire::{self, slice_in_pin, slice_out_pin};
 use virtex::RowCol;
 
@@ -48,7 +49,8 @@ impl ConstMultiplier {
         self.constant
     }
 
-    /// Change the constant (apply via [`crate::replace_with`]).
+    /// Change the constant (apply via [`crate::replace_with`], which
+    /// rewrites the LUTs and keeps every route).
     pub fn set_constant(&mut self, constant: u8) {
         assert!(constant < 16);
         self.constant = constant;
@@ -96,17 +98,15 @@ impl RtpCore for ConstMultiplier {
         self.origin = rc;
     }
 
-    fn implement(&mut self, router: &mut Router) -> Result<()> {
+    fn design(&self) -> Design {
+        let mut d = Design::new();
         let k = self.constant as u16;
         for bit in 0..self.out_width {
-            let rc = self.rc(bit);
-            let mask = lut_mask(|a| ((a * k) >> bit) & 1 == 1);
-            router.bits_mut().set_lut(rc, 0, 0, mask)?;
-            self.state.record_lut(rc, 0, 0);
+            d.lut(self.rc(bit), 0, 0, lut_mask(|a| ((a * k) >> bit) & 1 == 1));
         }
         // Each input bit fans out to the same LUT input of every product
         // bit's tile.
-        let a_targets: Vec<Vec<EndPoint>> = (0..IN_WIDTH)
+        let a_targets = (0..IN_WIDTH)
             .map(|i| {
                 (0..self.out_width)
                     .map(|bit| {
@@ -115,22 +115,19 @@ impl RtpCore for ConstMultiplier {
                     .collect()
             })
             .collect();
-        self.state
-            .define_or_rebind_group(router, "a", PortDir::Input, a_targets)?;
-        let p_targets: Vec<Vec<EndPoint>> = (0..self.out_width)
+        d.group("a", PortDir::Input, a_targets);
+        let p_targets = (0..self.out_width)
             .map(|bit| vec![Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::X)).into()])
             .collect();
-        self.state
-            .define_or_rebind_group(router, "p", PortDir::Output, p_targets)?;
-        self.state.set_placed(true);
-        Ok(())
-    }
-
-    fn remove(&mut self, router: &mut Router) -> Result<()> {
-        self.state.tear_down(router)
+        d.group("p", PortDir::Output, p_targets);
+        d
     }
 
     fn state(&self) -> &CoreState {
         &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.state
     }
 }

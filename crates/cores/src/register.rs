@@ -1,8 +1,8 @@
 //! Register bank: a `width`-bit D register.
 
-use crate::core_trait::{CoreState, RtpCore};
+use crate::core_trait::{CoreState, Design, RtpCore};
 use crate::util::buffer_mask;
-use jroute::{EndPoint, Pin, PortDir, PortId, Result, Router};
+use jroute::{Pin, PortDir, PortId};
 use virtex::wire::{self, slice_in_pin, slice_out_pin};
 use virtex::RowCol;
 
@@ -70,38 +70,33 @@ impl RtpCore for Register {
         self.origin = rc;
     }
 
-    fn implement(&mut self, router: &mut Router) -> Result<()> {
+    fn design(&self) -> Design {
+        let mut d = Design::new();
         for bit in 0..self.width {
             let rc = self.rc(bit);
-            router.bits_mut().set_lut(rc, 0, 0, buffer_mask(0))?;
-            self.state.record_lut(rc, 0, 0);
-            router.route_pip(
+            d.lut(rc, 0, 0, buffer_mask(0));
+            d.pip(
                 rc,
                 wire::gclk(self.gclk),
                 wire::slice_in(0, slice_in_pin::CLK),
-            )?;
+            );
         }
-        self.state
-            .record_internal_net(Pin::at(self.rc(0), wire::gclk(self.gclk)).into());
-        let d_targets: Vec<Vec<EndPoint>> = (0..self.width)
+        let d_targets = (0..self.width)
             .map(|bit| vec![Pin::at(self.rc(bit), wire::slice_in(0, slice_in_pin::F1)).into()])
             .collect();
-        self.state
-            .define_or_rebind_group(router, "d", PortDir::Input, d_targets)?;
-        let q_targets: Vec<Vec<EndPoint>> = (0..self.width)
+        d.group("d", PortDir::Input, d_targets);
+        let q_targets = (0..self.width)
             .map(|bit| vec![Pin::at(self.rc(bit), wire::slice_out(0, slice_out_pin::XQ)).into()])
             .collect();
-        self.state
-            .define_or_rebind_group(router, "q", PortDir::Output, q_targets)?;
-        self.state.set_placed(true);
-        Ok(())
-    }
-
-    fn remove(&mut self, router: &mut Router) -> Result<()> {
-        self.state.tear_down(router)
+        d.group("q", PortDir::Output, q_targets);
+        d
     }
 
     fn state(&self) -> &CoreState {
         &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.state
     }
 }

@@ -5,8 +5,8 @@
 //! it exposes one output port per bit, bound to a slice register output
 //! whose value a `vsim` test can force.
 
-use crate::core_trait::{CoreState, RtpCore};
-use jroute::{Pin, PortDir, Result, Router};
+use crate::core_trait::{CoreState, Design, RtpCore};
+use jroute::{Pin, PortDir};
 use virtex::{wire, RowCol};
 
 /// A bank of `width` drivable outputs, one CLB per bit (stacked
@@ -67,21 +67,20 @@ impl RtpCore for StimulusBank {
         self.origin = rc;
     }
 
-    fn implement(&mut self, router: &mut Router) -> Result<()> {
+    fn design(&self) -> Design {
+        let mut d = Design::new();
         let targets = (0..self.width)
             .map(|bit| vec![self.driver_pin(bit).into()])
             .collect();
-        self.state
-            .define_or_rebind_group(router, "out", PortDir::Output, targets)?;
-        self.state.set_placed(true);
-        Ok(())
-    }
-
-    fn remove(&mut self, router: &mut Router) -> Result<()> {
-        self.state.tear_down(router)
+        d.group("out", PortDir::Output, targets);
+        d
     }
 
     fn state(&self) -> &CoreState {
         &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.state
     }
 }

@@ -11,7 +11,8 @@
 //!   physical-existence validation only;
 //! * [`frame`] — column-granular configuration frames, the cost unit of
 //!   partial run-time reconfiguration;
-//! * [`readback`] — snapshots and diffs (the BoardScope \[2\] substrate).
+//! * [`readback`] — snapshots, diffs and the frames a diff changes (the
+//!   BoardScope \[2\] substrate).
 //!
 //! Everything above this layer (auto-routing, ports, unrouting,
 //! contention protection) lives in the `jroute` crate.
@@ -27,4 +28,4 @@ pub mod readback;
 pub use bitstream::{Bitstream, ConfigObserver, Pip};
 pub use error::JBitsError;
 pub use frame::{FrameAddr, FrameTracker};
-pub use readback::{diff, snapshot, Change, Snapshot};
+pub use readback::{changed_frames, diff, snapshot, Change, Snapshot};

@@ -6,6 +6,8 @@
 //! an unroute returned the device to its prior state.
 
 use crate::bitstream::{Bitstream, Pip};
+use crate::frame::{lut_frame, pip_frame, FrameAddr};
+use std::collections::BTreeSet;
 use virtex::{Dims, RowCol};
 
 /// An immutable snapshot of a configuration.
@@ -31,6 +33,16 @@ pub enum Change {
         before: u16,
         after: u16,
     },
+}
+
+impl Change {
+    /// The configuration frame holding the changed bits.
+    pub fn frame(&self) -> FrameAddr {
+        match *self {
+            Change::PipAdded { rc, pip } | Change::PipRemoved { rc, pip } => pip_frame(rc, pip.to),
+            Change::LutChanged { rc, slice, lut, .. } => lut_frame(rc, slice, lut),
+        }
+    }
 }
 
 /// Capture the current configuration.
@@ -100,6 +112,15 @@ pub fn diff(before: &Snapshot, after: &Snapshot) -> Vec<Change> {
     changes
 }
 
+/// The frames whose bits differ between two snapshots: what a partial
+/// reconfiguration from `before` to `after` has to rewrite. The
+/// bitstream's [`crate::FrameTracker`] counts the frames a sequence of
+/// writes *touched*; a PIP cleared and set again, or a LUT written
+/// back, touches a frame without changing it.
+pub fn changed_frames(before: &Snapshot, after: &Snapshot) -> BTreeSet<FrameAddr> {
+    diff(before, after).iter().map(Change::frame).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,5 +182,28 @@ mod tests {
         assert_eq!(rev.len(), 1);
         assert!(matches!(fwd[0], Change::PipAdded { .. }));
         assert!(matches!(rev[0], Change::PipRemoved { .. }));
+    }
+
+    #[test]
+    fn changed_frames_skip_bits_written_back() {
+        let mut b = Bitstream::new(&Device::new(Family::Xcv50));
+        let rc = RowCol::new(5, 7);
+        b.set_pip(rc, wire::S1_YQ, wire::out(1)).unwrap();
+        let before = snapshot(&b);
+        b.frames_mut().take();
+
+        // Cleared and set again: touched, unchanged.
+        b.clear_pip(rc, wire::S1_YQ, wire::out(1)).unwrap();
+        b.set_pip(rc, wire::S1_YQ, wire::out(1)).unwrap();
+        b.set_lut(rc, 0, 1, 0x1234).unwrap();
+        let after = snapshot(&b);
+
+        let touched = b.frames_mut().take();
+        let changed = changed_frames(&before, &after);
+        let lut = lut_frame(rc, 0, 1);
+        assert_eq!(changed.into_iter().collect::<Vec<_>>(), vec![lut]);
+        assert_eq!(touched.len(), 2);
+        assert!(touched.contains(&pip_frame(rc, wire::out(1))));
+        assert!(changed_frames(&after, &after).is_empty());
     }
 }

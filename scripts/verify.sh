@@ -39,6 +39,12 @@ BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
 test -s target/bench-json/BENCH_e4_template_vs_maze.json
 grep -q '"id": "e4/templates_prefill_0"' target/bench-json/BENCH_e4_template_vs_maze.json
 echo "    wrote target/bench-json/BENCH_e4_template_vs_maze.json"
+echo "==> bench smoke: e5_rtr_replace (constant replace vs full build; asserts the replace dirties LUT frames only)"
+BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
+    cargo bench --offline --bench e5_rtr_replace
+test -s target/bench-json/BENCH_e5_rtr_replace.json
+grep -q '"id": "e5/replace_multiplier_constant"' target/bench-json/BENCH_e5_rtr_replace.json
+echo "    wrote target/bench-json/BENCH_e5_rtr_replace.json"
 echo "==> bench smoke: e15_convergence (incremental vs full-ripup PathFinder)"
 BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
     cargo bench --offline --bench e15_convergence

@@ -2,7 +2,8 @@
 //! relocate, and reconnect under adverse conditions.
 
 use detrand::DetRng;
-use jbits::snapshot;
+use jbits::frame::WORDS_PER_TILE;
+use jbits::{diff, snapshot, Change};
 use jroute::{EndPoint, Pin, PortDir, Router};
 use jroute_cores::{
     detach, relocate, replace_with, ConstAdder, ConstMultiplier, RtpCore, StimulusBank,
@@ -226,7 +227,8 @@ fn hierarchical_port_reconnection_after_inner_rebind() {
 /// different first path, spent its budget differently or fell back to
 /// the maze on a different attempt moves at least one of them. The
 /// golden values were recorded with the plain budgeted depth-first
-/// matcher.
+/// matcher, with constant replaces keeping their routes (only the
+/// relocates unroute and re-route).
 #[test]
 fn seeded_rtr_stream_keeps_its_golden_router_counters() {
     let dev = Device::new(Family::Xcv1000);
@@ -271,23 +273,50 @@ fn seeded_rtr_stream_keeps_its_golden_router_counters() {
     let after = r.stats();
     let delta = |f: fn(&jroute::RouterStats) -> usize| f(after) - f(&before);
     let golden = [
-        ("template_attempts", delta(|s| s.template_attempts), 1052),
-        ("template_successes", delta(|s| s.template_successes), 234),
-        ("maze_fallbacks", delta(|s| s.maze_fallbacks), 278),
-        ("maze_searches", delta(|s| s.maze_searches), 390),
+        ("template_attempts", delta(|s| s.template_attempts), 540),
+        ("template_successes", delta(|s| s.template_successes), 110),
+        ("maze_fallbacks", delta(|s| s.maze_fallbacks), 146),
+        ("maze_searches", delta(|s| s.maze_searches), 202),
         (
             "maze_nodes_expanded",
             delta(|s| s.maze_nodes_expanded),
-            18_175,
+            8_978,
         ),
-        ("pips_set", delta(|s| s.pips_set), 2_930),
-        ("pips_cleared", delta(|s| s.pips_cleared), 2_976),
+        ("pips_set", delta(|s| s.pips_set), 1_453),
+        ("pips_cleared", delta(|s| s.pips_cleared), 1_499),
     ];
     for (name, got, want) in golden {
         assert_eq!(got, want, "{name} moved off its golden value");
     }
 
     // The stream ends in a working design: sum = a·k + c for every a.
+    assert_pipeline_computes(&r, &stim, &mul, &add);
+}
+
+/// A stimulus → ×3 multiplier → +17 adder pipeline on an XCV300, bus to
+/// bus through ports.
+fn pipeline(r: &mut Router) -> (StimulusBank, ConstMultiplier, ConstAdder) {
+    let mut stim = StimulusBank::new(4, RowCol::new(4, 4));
+    let mut mul = ConstMultiplier::new(3, 8, RowCol::new(4, 12));
+    let mut add = ConstAdder::new(8, 17, RowCol::new(4, 22));
+    stim.implement(r).unwrap();
+    mul.implement(r).unwrap();
+    add.implement(r).unwrap();
+    let ports = |ids: &[jroute::PortId]| ids.iter().map(|&p| p.into()).collect::<Vec<EndPoint>>();
+    r.route_bus(&ports(stim.out_ports()), &ports(mul.a_ports()))
+        .unwrap();
+    r.route_bus(&ports(mul.p_ports()), &ports(add.a_ports()))
+        .unwrap();
+    (stim, mul, add)
+}
+
+/// `vsim`: the pipeline's sum is `a·k + c` (mod 2^8) for every 4-bit `a`.
+fn assert_pipeline_computes(
+    r: &Router,
+    stim: &StimulusBank,
+    mul: &ConstMultiplier,
+    add: &ConstAdder,
+) {
     let mut sim = Simulator::new(r.bits());
     for a in 0..16u64 {
         for bit in 0..stim.width() {
@@ -312,4 +341,68 @@ fn seeded_rtr_stream_keeps_its_golden_router_counters() {
         let want = (a * u64::from(mul.constant()) + add.constant()) & 0xFF;
         assert_eq!(got, want, "a = {a}");
     }
+}
+
+/// A new constant rewrites LUT contents only: `replace_with` keeps every
+/// route, so the configuration differs from before in LUT frames alone,
+/// and no PIP is set, cleared or searched for.
+#[test]
+fn constant_replace_rewrites_only_lut_frames() {
+    let mut r = Router::new(&dev());
+    let (stim, mut mul, mut add) = pipeline(&mut r);
+    r.bits_mut().frames_mut().take();
+    let before = snapshot(r.bits());
+    let stats = r.stats().clone();
+
+    replace_with(&mut mul, &mut r, |m| m.set_constant(11)).unwrap();
+    replace_with(&mut add, &mut r, |a| a.set_constant(200)).unwrap();
+    // A relocate to the core's own origin is the same kind of change.
+    let here = mul.origin();
+    relocate(&mut mul, &mut r, here).unwrap();
+
+    let frames = r.bits_mut().frames_mut().take();
+    assert!(!frames.is_empty(), "the new constants must be written");
+    for f in &frames {
+        assert!(f.word >= WORDS_PER_TILE, "non-LUT frame {f:?} touched");
+    }
+    let changes = diff(&before, &snapshot(r.bits()));
+    assert!(!changes.is_empty());
+    for c in &changes {
+        assert!(matches!(c, Change::LutChanged { .. }), "{c:?}");
+    }
+    let after = r.stats();
+    assert_eq!(after.pips_set, stats.pips_set);
+    assert_eq!(after.pips_cleared, stats.pips_cleared);
+    assert_eq!(after.maze_searches, stats.maze_searches);
+    assert_eq!(after.template_attempts, stats.template_attempts);
+    assert!(r.remembered().is_empty());
+    assert_pipeline_computes(&r, &stim, &mul, &add);
+}
+
+/// A change that moves the origin changes the wiring, so `replace_with`
+/// takes the full path: the core's connections are unrouted, remembered
+/// and re-made at the new site, and the old site is erased.
+#[test]
+fn replace_that_moves_the_origin_takes_the_full_path() {
+    let mut r = Router::new(&dev());
+    let (stim, mut mul, add) = pipeline(&mut r);
+    let old_sites: Vec<RowCol> = (0..mul.out_width()).map(|b| mul.product_site(b)).collect();
+    let cleared = r.stats().pips_cleared;
+
+    replace_with(&mut mul, &mut r, |m| {
+        m.set_constant(5);
+        m.set_origin(RowCol::new(14, 16));
+    })
+    .unwrap();
+
+    assert!(
+        r.stats().pips_cleared > cleared,
+        "the old routes are unrouted"
+    );
+    assert!(r.remembered().is_empty(), "every connection is re-made");
+    for rc in old_sites {
+        assert_eq!(r.bits().get_lut(rc, 0, 0).unwrap(), 0, "old LUT at {rc:?}");
+    }
+    assert_eq!(mul.product_site(0), RowCol::new(14, 16));
+    assert_pipeline_computes(&r, &stim, &mul, &add);
 }
