@@ -58,7 +58,7 @@ pub use error::{NetId, Result, RouteError};
 pub use jroute_obs as obs;
 pub use jroute_obs::Recorder;
 pub use net::{Net, NetDb};
-pub use partition::{ScratchPool, SearchBox, WavePlan};
+pub use partition::{SearchBox, WavePlan};
 pub use path::Path;
 pub use ports::{Port, PortDb, PortDir};
 pub use router::{Remembered, Router, RouterOptions};

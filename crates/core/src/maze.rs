@@ -45,7 +45,7 @@
 use crate::dial::DialQueue;
 use jbits::Pip;
 use jroute_obs::{Counter, Histo, Recorder};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use virtex::lookahead::Lookahead;
 use virtex::{BBox, Device, Interconnect, RowCol, SegIdx, Segment, Wire};
 
@@ -126,9 +126,13 @@ impl Default for MazeConfig {
 /// only. glibc maps a large block fresh until one is freed, then serves
 /// blocks of that size from its heap, where `alloc_zeroed` writes every
 /// page and a fragmented heap can keep a second copy resident. So a
-/// dropped router hands its scratch's arrays on to the next scratch of
-/// the same size (`SPARE`); the epoch stamps make them as good as
-/// zeroed.
+/// scratch never frees its arrays: dropping it returns them to a
+/// process-wide idle list, and [`MazeScratch::new`] takes a set of the
+/// device's length from that list before it allocates. Routers, wave
+/// workers and services built one after another on one device thus
+/// search on the same few sets; the epoch stamps make a reused set as
+/// good as a zeroed one. The list keeps, per length, as many sets as
+/// were ever live at once.
 ///
 /// `meta` holds `stamp << 32 | cost` with `stamp = (epoch << 1) |
 /// closed`; a slot is live iff `stamp >> 1 == epoch`. The `closed` bit
@@ -234,33 +238,49 @@ const EPOCH_MAX: u32 = u32::MAX >> 1;
 /// A scratch's device-sized state: the epoch and the arrays it stamps.
 type Arrays = (u32, Vec<u64>, Vec<u64>);
 
-/// The arrays of the last dropped [`crate::Router`], kept for the next
-/// [`MazeScratch::new`] of the same size. An RTR application rebuilds
-/// its router per design state; this way each router reuses one set of
-/// arrays instead of cycling device-sized blocks through the allocator.
-/// One set only: [`crate::ScratchPool`]s keep their own scratches, and
-/// every retained set stays resident.
-static SPARE: Mutex<Option<Arrays>> = Mutex::new(None);
+/// A fresh set of length `n`: all-zero pages, every slot unseen.
+fn zeroed(n: usize) -> Arrays {
+    (0, vec![0; n], vec![0; n])
+}
+
+/// Arrays of dropped scratches, waiting for the next [`MazeScratch::new`]
+/// of their length. Lengths differ by device, so scratches of different
+/// devices never take each other's sets.
+static IDLE: Mutex<Vec<Arrays>> = Mutex::new(Vec::new());
+
+/// Take a set of length `n` from `list`, the most recently returned
+/// first. The list holds plain arrays that no panic can leave half
+/// written, so a poisoned lock is used as it stands.
+fn take(list: &Mutex<Vec<Arrays>>, n: usize) -> Option<Arrays> {
+    let mut list = list.lock().unwrap_or_else(PoisonError::into_inner);
+    let k = list.iter().rposition(|a| a.1.len() == n)?;
+    Some(list.swap_remove(k))
+}
+
+/// Return `arrays` to `list`.
+fn give(list: &Mutex<Vec<Arrays>>, arrays: Arrays) {
+    list.lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(arrays);
+}
+
+impl Drop for MazeScratch {
+    fn drop(&mut self) {
+        let arrays = (
+            self.epoch,
+            std::mem::take(&mut self.meta),
+            std::mem::take(&mut self.link),
+        );
+        give(&IDLE, arrays);
+    }
+}
 
 impl MazeScratch {
-    /// Scratch sized for `dev`'s segment space, on the arrays a dropped
-    /// router left if they have that size.
+    /// Scratch sized for `dev`'s segment space, on an idle set of arrays
+    /// of that length if a dropped scratch left one.
     pub fn new(dev: &Device) -> Self {
         let n = dev.seg_space().len();
-        let spare = SPARE
-            .lock()
-            .expect("spare lock poisoned")
-            .take_if(|s| s.1.len() == n);
-        Self::on_arrays(dev, spare.unwrap_or_else(|| (0, vec![0; n], vec![0; n])))
-    }
-
-    /// Leave this scratch's arrays to the next [`MazeScratch::new`] of
-    /// the same size; the scratch must not search again.
-    pub(crate) fn hand_on(&mut self) {
-        // A poisoned lock only loses the reuse.
-        if let Ok(mut spare) = SPARE.lock() {
-            *spare = Some(self.take_arrays());
-        }
+        Self::on_arrays(dev, take(&IDLE, n).unwrap_or_else(|| zeroed(n)))
     }
 
     /// Scratch for `dev` continuing from `arrays`. Every stamp in them is
@@ -281,14 +301,6 @@ impl MazeScratch {
             ic: dev.interconnect(),
             meters: None,
         }
-    }
-
-    fn take_arrays(&mut self) -> Arrays {
-        (
-            self.epoch,
-            std::mem::take(&mut self.meta),
-            std::mem::take(&mut self.link),
-        )
     }
 
     /// Metric handles for `obs`, resolved once and cached on the scratch
@@ -596,8 +608,8 @@ mod tests {
         dev.canonicalize(pin.rc, pin.wire).unwrap()
     }
 
-    /// A scratch on another scratch's arrays starts with every slot
-    /// unseen: the same search expands the same nodes and finds the
+    /// A scratch on a set another scratch returned starts with every
+    /// slot unseen: the same search expands the same nodes and finds the
     /// same path as on fresh arrays.
     #[test]
     fn handed_on_arrays_start_unseen() {
@@ -617,10 +629,60 @@ mod tests {
             .expect("route exists");
             (r.pips, r.cost, r.nodes_expanded)
         };
-        let mut first = MazeScratch::new(&dev);
+        let n = dev.seg_space().len();
+        let mut first = MazeScratch::on_arrays(&dev, zeroed(n));
         let want = run(&mut first);
-        let mut next = MazeScratch::on_arrays(&dev, first.take_arrays());
+        let list = Mutex::new(Vec::new());
+        give(&list, (first.epoch, first.meta.clone(), first.link.clone()));
+        let mut next = MazeScratch::on_arrays(&dev, take(&list, n).expect("returned set"));
         assert_eq!(run(&mut next), want);
+    }
+
+    /// Two returned sets serve two takes on their own allocations, epoch
+    /// included; a third take finds nothing.
+    #[test]
+    fn returned_sets_serve_takes_without_allocating() {
+        let list = Mutex::new(Vec::new());
+        let (a, b) = ((7, vec![0; 64], vec![0; 64]), (9, vec![0; 64], vec![0; 64]));
+        let mut want = vec![
+            (a.0, a.1.as_ptr(), a.2.as_ptr()),
+            (b.0, b.1.as_ptr(), b.2.as_ptr()),
+        ];
+        give(&list, a);
+        give(&list, b);
+        let mut got: Vec<_> = (0..2)
+            .map(|_| {
+                let (epoch, meta, link) = take(&list, 64).expect("an idle set");
+                (epoch, meta.as_ptr(), link.as_ptr())
+            })
+            .collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        assert!(take(&list, 64).is_none());
+    }
+
+    #[test]
+    fn a_set_of_another_length_is_never_handed_out() {
+        let list = Mutex::new(Vec::new());
+        give(&list, zeroed(64));
+        assert!(take(&list, 63).is_none());
+        assert!(take(&list, 65).is_none());
+        assert_eq!(take(&list, 64).map(|a| a.1.len()), Some(64));
+    }
+
+    #[test]
+    fn a_poisoned_list_still_serves() {
+        let list = Mutex::new(Vec::new());
+        give(&list, zeroed(64));
+        let poisoned = std::panic::catch_unwind(|| {
+            let _held = list.lock();
+            panic!("a holder of the idle list panics");
+        });
+        assert!(poisoned.is_err() && list.is_poisoned());
+        assert!(take(&list, 64).is_some());
+        give(&list, zeroed(64));
+        assert!(take(&list, 64).is_some());
     }
 
     #[test]

@@ -44,7 +44,7 @@
 use crate::error::{NetId, Result, RouteError};
 use crate::maze::{MazeConfig, MazeScratch};
 use crate::net::{Net, NetDb};
-use crate::partition::{self, ScratchPool, SearchBox};
+use crate::partition::{self, SearchBox};
 use crate::pathfinder::{NetSpec, RoutedNet};
 use crate::schedule::WaveExec;
 use crate::steiner;
@@ -287,7 +287,6 @@ pub struct Engine<'a> {
     dev: &'a Device,
     maze: &'a MazeConfig,
     exec: WaveExec,
-    pool: &'a ScratchPool,
     obs: &'a Recorder,
     /// Name of the span each job search opens.
     span: &'static str,
@@ -306,16 +305,14 @@ pub struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Plan `jobs` (in commit order; `None` = a job decided without
     /// routing) against `db`, the state the batch starts from. Searches
-    /// use `exec`'s workers, scratch from `pool`, and open one `span`
-    /// per job search, linked to the job's context.
-    #[allow(clippy::too_many_arguments)] // the full batch contract
+    /// use `exec`'s workers and open one `span` per job search, linked
+    /// to the job's context.
     pub fn new(
         dev: &'a Device,
         db: &NetDb,
         jobs: Vec<Option<Job<'a>>>,
         maze: &'a MazeConfig,
         exec: WaveExec,
-        pool: &'a ScratchPool,
         obs: &'a Recorder,
         span: &'static str,
     ) -> Self {
@@ -347,7 +344,6 @@ impl<'a> Engine<'a> {
             dev,
             maze,
             exec,
-            pool,
             obs,
             span,
             jobs,
@@ -399,7 +395,7 @@ impl<'a> Engine<'a> {
             Some(f) if !self.stale(&f, &job) => f.nets,
             Some(_) => {
                 self.stats.researched += 1;
-                let mut scratch = self.pool.lease(self.dev);
+                let mut scratch = MazeScratch::new(self.dev);
                 self.search(&job, db, &mut scratch, self.journal.len()).nets
             }
         }?;
@@ -436,7 +432,7 @@ impl<'a> Engine<'a> {
         let this = &*self;
         let searched = this.exec.run_wave(
             &ready,
-            || this.pool.lease(this.dev),
+            || MazeScratch::new(this.dev),
             |scratch, m| {
                 let job = this.jobs[m].as_ref().expect("ready job");
                 this.search(job, db, scratch, at)
@@ -533,7 +529,6 @@ pub fn route_parallel_obs(
     let mut run_span = obs.span_root("parallel.route");
     run_span.note(specs.len() as u64);
     let ctx = run_span.ctx();
-    let pool = ScratchPool::new();
     let mut db = NetDb::new(dev.seg_space());
     let jobs = specs
         .iter()
@@ -549,7 +544,7 @@ pub fn route_parallel_obs(
     let exec = WaveExec {
         threads: cfg.threads,
     };
-    let mut engine = Engine::new(dev, &db, jobs, &cfg.maze, exec, &pool, obs, "parallel.net");
+    let mut engine = Engine::new(dev, &db, jobs, &cfg.maze, exec, obs, "parallel.net");
     let mut nets = Vec::with_capacity(specs.len());
     let mut failed = Vec::new();
     for k in 0..specs.len() {

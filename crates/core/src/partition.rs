@@ -22,16 +22,13 @@
 //! singleton wave per net — bisection always terminates, and a wave is
 //! never allowed to contain two overlapping boxes.
 //!
-//! [`ScratchPool`] is the execution substrate's allocator: maze scratch
-//! spaces are device-sized (hundreds of MB of address space on the
-//! synthetic super-Virtex rows), so workers lease them per wave and
-//! return them on drop instead of constructing one per round.
+//! A wave worker builds its own [`crate::maze::MazeScratch`]; the maze
+//! keeps dropped scratches' device-sized arrays for the next one, so
+//! waves and iterations reuse the same few sets.
 
-use crate::maze::MazeScratch;
 use crate::pathfinder::NetSpec;
-use std::sync::Mutex;
 use virtex::wire::HEX_SPAN;
-use virtex::{BBox, Device, Dims, RowCol};
+use virtex::{BBox, Dims, RowCol};
 
 /// Default margin (tiles beyond the terminal bounding box) a search
 /// region grants for detours before any growth.
@@ -263,75 +260,6 @@ fn bisect(items: Vec<(usize, BBox)>, conflicts: &mut usize) -> Vec<Vec<usize>> {
     items.into_iter().map(|(i, _)| vec![i]).collect()
 }
 
-/// A shared pool of [`MazeScratch`] spaces for one device.
-///
-/// Wave workers lease a scratch at spawn and return it when they finish
-/// (on drop of the [`PooledScratch`] guard), so a whole negotiation run
-/// allocates at most max-concurrent-workers scratches no matter how many
-/// waves and iterations it executes.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    free: Mutex<Vec<MazeScratch>>,
-}
-
-impl ScratchPool {
-    /// An empty pool. Scratches are created on first lease, sized for
-    /// whatever device the lease names — a pool must only ever serve one
-    /// device.
-    pub fn new() -> Self {
-        ScratchPool::default()
-    }
-
-    /// Lease a scratch for `dev`, reusing a returned one if available.
-    pub fn lease(&self, dev: &Device) -> PooledScratch<'_> {
-        let scratch = self
-            .free
-            .lock()
-            .expect("scratch pool lock")
-            .pop()
-            .unwrap_or_else(|| MazeScratch::new(dev));
-        PooledScratch {
-            pool: self,
-            scratch: Some(scratch),
-        }
-    }
-
-    /// Scratches currently sitting idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.lock().expect("scratch pool lock").len()
-    }
-}
-
-/// A leased [`MazeScratch`]; derefs to the scratch and returns it to the
-/// pool on drop.
-#[derive(Debug)]
-pub struct PooledScratch<'p> {
-    pool: &'p ScratchPool,
-    scratch: Option<MazeScratch>,
-}
-
-impl std::ops::Deref for PooledScratch<'_> {
-    type Target = MazeScratch;
-
-    fn deref(&self) -> &MazeScratch {
-        self.scratch.as_ref().expect("live lease")
-    }
-}
-
-impl std::ops::DerefMut for PooledScratch<'_> {
-    fn deref_mut(&mut self) -> &mut MazeScratch {
-        self.scratch.as_mut().expect("live lease")
-    }
-}
-
-impl Drop for PooledScratch<'_> {
-    fn drop(&mut self) {
-        if let Some(s) = self.scratch.take() {
-            self.pool.free.lock().expect("scratch pool lock").push(s);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,19 +354,5 @@ mod tests {
             sb.region(DEFAULT_MARGIN, dims),
             bb(4, 2, 9, 6).expand(DEFAULT_MARGIN + HEX_SPAN + 2, dims)
         );
-    }
-
-    #[test]
-    fn scratch_pool_reuses_returned_scratches() {
-        let dev = Device::new(Family::Xcv50);
-        let pool = ScratchPool::new();
-        {
-            let _a = pool.lease(&dev);
-            let _b = pool.lease(&dev);
-            assert_eq!(pool.idle(), 0);
-        }
-        assert_eq!(pool.idle(), 2);
-        let _c = pool.lease(&dev);
-        assert_eq!(pool.idle(), 1, "lease reuses instead of allocating");
     }
 }

@@ -26,7 +26,7 @@
 use crate::endpoint::Pin;
 use crate::error::{Result, RouteError};
 use crate::maze::{MazeConfig, MazeScratch, CRIT_ONE};
-use crate::partition::{self, ScratchPool, SearchBox};
+use crate::partition::{self, SearchBox};
 use crate::schedule::WaveExec;
 use crate::steiner::{self, SteinerTree};
 use jbits::{Bitstream, Pip};
@@ -418,7 +418,6 @@ pub fn route_all_obs(
     let space = dev.seg_space();
     let dims = dev.dims();
     let mut cong = Congestion::new(space);
-    let pool = ScratchPool::new();
     let exec = WaveExec {
         threads: cfg.threads,
     };
@@ -522,11 +521,11 @@ pub fn route_all_obs(
                     }
                 }
                 // Parallel bounded searches against the now-frozen
-                // congestion (shared immutably; workers lease scratches
-                // from the pool).
+                // congestion (shared immutably; each worker builds its
+                // own scratch).
                 let searched = exec.run_wave(
                     wave,
-                    || pool.lease(dev),
+                    || MazeScratch::new(dev),
                     |scratch, k| {
                         route_net_tree(
                             dev,
@@ -561,6 +560,7 @@ pub fn route_all_obs(
         } else {
             serial.extend(dirty.iter().map(|&i| (i, false)));
         }
+        let mut scratch = MazeScratch::new(dev);
         for &(i, skip_bounded) in &serial {
             // Rip up the previous route of this net (no-op for wave
             // misses — the wave already released them).
@@ -579,7 +579,6 @@ pub fn route_all_obs(
             } else {
                 cfg.bbox_margin.and_then(|m| prep.search_box(m, dims))
             };
-            let mut scratch = pool.lease(dev);
             let built = route_net_tree(
                 dev,
                 space,

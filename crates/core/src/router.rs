@@ -110,12 +110,6 @@ pub struct Router {
     obs: Recorder,
 }
 
-impl Drop for Router {
-    fn drop(&mut self) {
-        self.scratch.hand_on();
-    }
-}
-
 impl Router {
     /// Router over a blank configuration of `device`. The observability
     /// recorder starts in the `JROUTE_OBS` environment state (disabled

@@ -24,8 +24,8 @@
 //! caller that prices every sink alike passes no criticalities at all.
 //!
 //! `grow` is a pure function of its inputs (device, seed, congestion
-//! snapshot, criticalities): it takes its scratch from the caller
-//! (`ScratchPool`-leased in the partition-parallel waves) and performs
+//! snapshot, criticalities): it takes its scratch from the caller (each
+//! wave worker's own in the partition-parallel waves) and performs
 //! no global mutation, so it composes with the wave dispatcher and
 //! stays bit-identical across worker counts.
 

@@ -16,7 +16,7 @@
 
 use jroute::{EndPoint, Pin, PortDir, PortId, Result, RouteError, Router};
 use std::collections::HashMap;
-use virtex::{RowCol, Segment, Wire};
+use virtex::{RowCol, Wire};
 
 /// A run-time parameterizable core.
 pub trait RtpCore {
@@ -225,24 +225,22 @@ impl CoreState {
     }
 
     /// Unroute the applied internal nets and fixed PIPs and erase the
-    /// applied LUTs (the shared `remove` body). A fixed PIP goes with
-    /// the whole net of its source segment, unrouted once.
+    /// applied LUTs (the shared `remove` body). A fixed PIP is
+    /// reverse-unrouted from its target, so a net it shares with other
+    /// cores (a global clock) keeps their PIPs.
     fn tear_down(&mut self, router: &mut Router) -> Result<()> {
         self.placed = false;
         let Some(wiring) = self.applied.take() else {
             return Ok(());
         };
-        let mut sources: Vec<EndPoint> = wiring.nets.iter().map(|(src, _)| *src).collect();
-        let mut pip_sources: Vec<Option<Segment>> = Vec::new();
-        for &(rc, from, _) in &wiring.pips {
-            let seg = router.device().canonicalize(rc, from);
-            if !pip_sources.contains(&seg) {
-                pip_sources.push(seg);
-                sources.push(Pin::at(rc, from).into());
+        for (src, _) in &wiring.nets {
+            match router.unroute(src) {
+                Ok(_) | Err(RouteError::NoSuchNet { .. }) => {}
+                Err(e) => return Err(e),
             }
         }
-        for src in sources {
-            match router.unroute(&src) {
+        for &(rc, _, to) in &wiring.pips {
+            match router.reverse_unroute(&Pin::at(rc, to).into()) {
                 Ok(_) | Err(RouteError::NoSuchNet { .. }) => {}
                 Err(e) => return Err(e),
             }

@@ -60,7 +60,7 @@ use jroute::maze::MazeConfig;
 use jroute::parallel::{Abandon, Committed, Engine, Job, RouteFail};
 use jroute::pathfinder::{self, NetSpec, PathFinderConfig, PathFinderResult};
 use jroute::schedule::WaveExec;
-use jroute::{NetDb, NetId, ScratchPool};
+use jroute::{NetDb, NetId};
 use jroute_obs::{Aggregator, Counter, Gauge, Histo, Recorder};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::AtomicBool;
@@ -100,7 +100,10 @@ impl Default for ServiceConfig {
 }
 
 /// The batch routing service: a submission queue, a net database of
-/// committed state, and the batch executor.
+/// committed state, and the batch executor. It keeps no maze scratch:
+/// a batch's searches build theirs with
+/// [`MazeScratch::new`](jroute::maze::MazeScratch::new), which
+/// reuses the arrays an earlier batch dropped.
 #[derive(Debug)]
 pub struct RoutingService<'d> {
     dev: &'d Device,
@@ -111,8 +114,6 @@ pub struct RoutingService<'d> {
     /// `Unroute`/`Replace`.
     committed: HashMap<RequestId, Vec<NetId>>,
     next_id: RequestId,
-    /// Maze scratch kept across batches, so a batch allocates none.
-    pool: ScratchPool,
     obs: Recorder,
     meters: SvcMeters,
     /// Rolling per-batch time-series (queue depth, batch latency
@@ -279,7 +280,6 @@ impl<'d> RoutingService<'d> {
             pending: VecDeque::new(),
             committed: HashMap::new(),
             next_id: 0,
-            pool: ScratchPool::new(),
             obs,
             meters,
             window,
@@ -491,7 +491,6 @@ impl<'d> RoutingService<'d> {
             jobs,
             &self.cfg.maze,
             exec,
-            &self.pool,
             &self.obs,
             "svc.exec",
         );

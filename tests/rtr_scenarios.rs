@@ -6,7 +6,7 @@ use jbits::frame::WORDS_PER_TILE;
 use jbits::{diff, snapshot, Change};
 use jroute::{EndPoint, Pin, PortDir, Router};
 use jroute_cores::{
-    detach, relocate, replace_with, ConstAdder, ConstMultiplier, RtpCore, StimulusBank,
+    detach, relocate, replace_with, ConstAdder, ConstMultiplier, Register, RtpCore, StimulusBank,
 };
 use virtex::{wire, Device, Family, RowCol};
 use vsim::{LogicSource, Simulator};
@@ -405,4 +405,40 @@ fn replace_that_moves_the_origin_takes_the_full_path() {
     }
     assert_eq!(mul.product_site(0), RowCol::new(14, 16));
     assert_pipeline_computes(&r, &stim, &mul, &add);
+}
+
+/// Removing one clocked core clears its own `GCLK → CLK` taps only:
+/// another core on the same global clock keeps its taps, and removing
+/// both leaves no net and no PIP behind.
+#[test]
+fn removing_a_clocked_core_keeps_its_neighbours_clock() {
+    let mut r = Router::new(&Device::new(Family::Xcv50));
+    let mut first = Register::new(2, 0, RowCol::new(2, 2));
+    let mut second = Register::new(2, 0, RowCol::new(2, 6));
+    first.implement(&mut r).unwrap();
+    second.implement(&mut r).unwrap();
+    let clk = wire::slice_in(0, wire::slice_in_pin::CLK);
+    let clocked = |r: &Router, reg: &Register| {
+        (0..reg.width()).all(|bit| {
+            r.bits()
+                .get_pip(reg.bit_site(bit), wire::gclk(0), clk)
+                .unwrap()
+        })
+    };
+    assert!(clocked(&r, &first) && clocked(&r, &second));
+
+    first.remove(&mut r).unwrap();
+    assert!(
+        (0..first.width()).all(|bit| !r
+            .bits()
+            .get_pip(first.bit_site(bit), wire::gclk(0), clk)
+            .unwrap()),
+        "the removed register's taps are cleared"
+    );
+    assert!(clocked(&r, &second), "the other register stays clocked");
+
+    second.remove(&mut r).unwrap();
+    assert!(r.nets().census().is_empty(), "no segment stays owned");
+    assert_eq!(r.nets().len(), 0, "no net record is left");
+    assert_eq!(r.bits().on_pip_count(), 0, "no PIP stays on");
 }
