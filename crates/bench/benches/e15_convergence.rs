@@ -56,9 +56,7 @@ fn incremental_cfg() -> PathFinderConfig {
 
 fn full_ripup_cfg() -> PathFinderConfig {
     PathFinderConfig {
-        incremental: false,
-        bbox_margin: None,
-        adaptive_pres: false,
+        full_ripup: true,
         ..PathFinderConfig::default()
     }
 }

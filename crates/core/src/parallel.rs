@@ -54,16 +54,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 use virtex::{BBox, Device, Segment, WireKind};
 
-/// Margin (tiles beyond the terminal bounding box) of the per-net search
-/// region a net's searches confine themselves to before falling back to
-/// the whole device.
-const NET_BBOX_MARGIN: u16 = partition::DEFAULT_MARGIN;
-
 /// The default search region for `spec`: its terminal bounding box plus
-/// routing slack (`NET_BBOX_MARGIN` of detour room and hex reach — see
-/// [`SearchBox::region`], the one canonical expansion).
+/// routing slack ([`partition::DEFAULT_MARGIN`] of detour room and hex
+/// reach — see [`SearchBox::region`], the one canonical expansion).
 pub fn net_search_box(dev: &Device, spec: &NetSpec) -> BBox {
-    SearchBox::of_spec(spec).region(NET_BBOX_MARGIN, dev.dims())
+    SearchBox::of_spec(spec).region(partition::DEFAULT_MARGIN, dev.dims())
 }
 
 /// Options for the parallel router.

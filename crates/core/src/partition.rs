@@ -28,7 +28,7 @@
 
 use crate::pathfinder::NetSpec;
 use virtex::wire::HEX_SPAN;
-use virtex::{BBox, Dims, RowCol};
+use virtex::{BBox, Dims};
 
 /// Default margin (tiles beyond the terminal bounding box) a search
 /// region grants for detours before any growth.
@@ -69,21 +69,6 @@ impl SearchBox {
         SearchBox::new(b)
     }
 
-    /// Region covering `points`, or `None` for an empty iterator.
-    pub fn of_points(points: impl IntoIterator<Item = RowCol>) -> Option<Self> {
-        BBox::of(points).map(SearchBox::new)
-    }
-
-    /// The unexpanded terminal box.
-    pub fn terminals(&self) -> BBox {
-        self.terminals
-    }
-
-    /// Extra margin earned so far via [`SearchBox::widen`].
-    pub fn growth(&self) -> u16 {
-        self.growth
-    }
-
     /// Grow the region by `by` extra tiles of margin (saturating). The
     /// negotiators call this with 1 per repeat rip-up and [`HEX_SPAN`]
     /// per outright search failure.
@@ -116,14 +101,6 @@ pub struct WavePlan {
     /// clique) and were pushed into later waves — the serialization the
     /// partition could not avoid.
     pub conflicts: usize,
-}
-
-impl WavePlan {
-    /// Largest wave size (0 for an empty plan) — the available
-    /// parallelism ceiling.
-    pub fn widest(&self) -> usize {
-        self.waves.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 /// Partition `boxes` into bbox-disjoint waves by recursive bisection.
@@ -264,7 +241,7 @@ fn bisect(items: Vec<(usize, BBox)>, conflicts: &mut usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::endpoint::Pin;
-    use virtex::{wire, Family};
+    use virtex::{wire, Family, RowCol};
 
     fn bb(r0: u16, c0: u16, r1: u16, c1: u16) -> BBox {
         BBox {
@@ -299,7 +276,7 @@ mod tests {
         check_plan(&boxes, &plan);
         assert_eq!(plan.waves.len(), 1, "disjoint boxes need no serialization");
         assert_eq!(plan.conflicts, 0);
-        assert_eq!(plan.widest(), 8);
+        assert_eq!(plan.waves[0].len(), 8);
     }
 
     #[test]
@@ -333,7 +310,6 @@ mod tests {
         let plan = partition_waves(&[]);
         assert!(plan.waves.is_empty());
         assert_eq!(plan.conflicts, 0);
-        assert_eq!(plan.widest(), 0);
     }
 
     #[test]
@@ -344,12 +320,11 @@ mod tests {
             vec![Pin::new(9, 2, wire::S0_F3)],
         );
         let mut sb = SearchBox::of_spec(&spec);
-        assert_eq!(sb.terminals(), bb(4, 2, 9, 6));
+        assert_eq!(sb, SearchBox::new(bb(4, 2, 9, 6)));
         let mut legacy = bb(4, 2, 9, 6);
         legacy = legacy.expand(DEFAULT_MARGIN + HEX_SPAN, dims);
         assert_eq!(sb.region(DEFAULT_MARGIN, dims), legacy);
         sb.widen(2);
-        assert_eq!(sb.growth(), 2);
         assert_eq!(
             sb.region(DEFAULT_MARGIN, dims),
             bb(4, 2, 9, 6).expand(DEFAULT_MARGIN + HEX_SPAN + 2, dims)

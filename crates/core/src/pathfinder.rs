@@ -17,11 +17,15 @@
 //! Iterations after the first are *incremental*: only nets whose route
 //! touches an overused segment (or that failed last round) are ripped up
 //! and rerouted; converged nets stay put with their occupancy priced
-//! into everyone else's searches. Combined with per-net bounding-box
+//! into everyone else's searches. The rip-up set is read off the routes
+//! themselves against the per-segment occupancy counts, so congestion
+//! state keeps no per-net index. Combined with per-net bounding-box
 //! region pruning and the admissible distance lookahead in
 //! [`maze`](crate::maze), late iterations cost time proportional to the
-//! surviving congestion, not to the design (ROADMAP E9/E10; cf. the
-//! hotspot-aware incremental rerouting of arXiv:2407.00009).
+//! surviving congestion and wirelength, not to the device (ROADMAP
+//! E9/E10; cf. the hotspot-aware incremental rerouting of
+//! arXiv:2407.00009). [`PathFinderConfig::full_ripup`] selects the
+//! textbook schedule instead, as the reference to compare against.
 
 use crate::endpoint::Pin;
 use crate::error::{Result, RouteError};
@@ -31,12 +35,14 @@ use crate::schedule::WaveExec;
 use crate::steiner::{self, SteinerTree};
 use jbits::{Bitstream, Pip};
 use jroute_obs::{Counter, Recorder};
-use std::collections::HashMap;
 use virtex::wire::HEX_SPAN;
 use virtex::{BBox, Device, RowCol, SegIdx, SegSpace, SegVec, Segment};
 
 /// Dense per-segment congestion state that persists across rip-up
-/// iterations.
+/// iterations: how many nets occupy each segment and its accumulated
+/// history cost (6 bytes per segment). Which nets sit on a segment is
+/// not stored here — the routes hold that fact, and the next rip-up set
+/// is read off them.
 ///
 /// A segment can only be overused at the end of an iteration if it was
 /// overused at the end of the last one or has been occupied since (a
@@ -44,13 +50,6 @@ use virtex::{BBox, Device, RowCol, SegIdx, SegSpace, SegVec, Segment};
 /// walks `prev overused ∪ occupied` rather than the segment space —
 /// work proportional to routing activity, not device size (ROADMAP
 /// E9/E10).
-///
-/// It also maintains the reverse overused-segment → nets index that
-/// drives incremental rip-up: the first occupant of every segment lives
-/// in a dense word (`owner`, net id + 1, zero = free) and only the
-/// occupants *beyond* the first — which exist exactly on shared,
-/// i.e. overused, segments — spill into a side table. Memory stays one
-/// word per segment no matter how large the device.
 #[derive(Debug)]
 struct Congestion {
     /// Nets currently occupying each segment.
@@ -62,10 +61,6 @@ struct Congestion {
     overused: Vec<SegIdx>,
     /// Segments occupied since the last account, once per occupy.
     occupied: Vec<SegIdx>,
-    /// First occupant net of each segment, stored as `net + 1` (0 = free).
-    owner: SegVec<u32>,
-    /// Occupants beyond the first, keyed by segment (congested slots only).
-    extra: HashMap<SegIdx, Vec<u32>>,
 }
 
 impl Congestion {
@@ -75,55 +70,23 @@ impl Congestion {
             history: SegVec::new(space, 0),
             overused: Vec::new(),
             occupied: Vec::new(),
-            owner: SegVec::new(space, 0),
-            extra: HashMap::new(),
         }
     }
 
-    fn occupy(&mut self, idx: SegIdx, net: u32) {
+    fn occupy(&mut self, idx: SegIdx) {
         self.present[idx] += 1;
-        if self.owner[idx] == 0 {
-            self.owner[idx] = net + 1;
-        } else {
-            self.extra.entry(idx).or_default().push(net);
-        }
         self.occupied.push(idx);
     }
 
-    fn release(&mut self, idx: SegIdx, net: u32) {
+    fn release(&mut self, idx: SegIdx) {
         self.present[idx] -= 1;
-        if self.owner[idx] == net + 1 {
-            self.owner[idx] = match self.extra.get_mut(&idx) {
-                Some(v) => {
-                    let promoted = v.pop().expect("spill entries are non-empty") + 1;
-                    if v.is_empty() {
-                        self.extra.remove(&idx);
-                    }
-                    promoted
-                }
-                None => 0,
-            };
-        } else {
-            let v = self
-                .extra
-                .get_mut(&idx)
-                .expect("releasing a recorded occupant");
-            let p = v
-                .iter()
-                .position(|&n| n == net)
-                .expect("releasing a recorded occupant");
-            v.swap_remove(p);
-            if v.is_empty() {
-                self.extra.remove(&idx);
-            }
-        }
     }
 
-    /// Occupy a freshly built tree as net `net`'s route.
-    fn commit(&mut self, net: usize, spec: &NetSpec, tree: SteinerTree) -> RoutedNet {
+    /// Occupy a freshly built tree as a net's route.
+    fn commit(&mut self, spec: &NetSpec, tree: SteinerTree) -> RoutedNet {
         let space = self.present.space();
         for seg in &tree.segments {
-            self.occupy(space.index(*seg), net as u32);
+            self.occupy(space.index(*seg));
         }
         RoutedNet {
             spec: spec.clone(),
@@ -133,20 +96,21 @@ impl Congestion {
         }
     }
 
-    /// Release every segment of net `net`'s old route.
-    fn rip_up(&mut self, net: usize, old: &RoutedNet) {
+    /// Release every segment of a net's old route.
+    fn rip_up(&mut self, old: &RoutedNet) {
         let space = self.present.space();
         for seg in &old.segments {
-            self.release(space.index(*seg), net as u32);
+            self.release(space.index(*seg));
         }
     }
 
-    /// Every net currently occupying `idx` (the reverse index).
-    fn nets_at(&self, idx: SegIdx) -> impl Iterator<Item = u32> + '_ {
-        let first = self.owner[idx].checked_sub(1);
-        first
-            .into_iter()
-            .chain(self.extra.get(&idx).into_iter().flatten().copied())
+    /// Whether `route` must be ripped up next iteration: it is missing,
+    /// or it holds a segment with more than one occupant. Right after
+    /// [`Congestion::account`] these are exactly the occupants of the
+    /// surviving overused segments.
+    fn is_dirty(&self, route: Option<&RoutedNet>) -> bool {
+        let space = self.present.space();
+        route.is_none_or(|r| r.segments.iter().any(|s| self.present[space.index(*s)] > 1))
     }
 
     fn cost(&self, idx: SegIdx, pres_fac: u32) -> u32 {
@@ -234,19 +198,21 @@ pub struct PathFinderConfig {
     pub hist_cost: u32,
     /// Maze options (long lines, node budget).
     pub maze: MazeConfig,
-    /// After the first iteration, rip up only nets that touch an
-    /// overused segment or failed last round. `false` restores the
-    /// classic full-ripup schedule (the reference the equivalence
-    /// property test compares against).
-    pub incremental: bool,
-    /// Confine each net's searches to its terminal bounding box expanded
-    /// by this margin (plus hex reach); the box grows every time the net
-    /// is ripped up again, so hard nets asymptotically see the whole
-    /// device. `None` disables region pruning.
-    pub bbox_margin: Option<u16>,
-    /// Drive `pres_fac` growth from the overuse curve (accelerate on
-    /// plateau, hold on oscillation) instead of multiplying blindly.
-    pub adaptive_pres: bool,
+    /// Run the textbook full-ripup schedule: every iteration rips up and
+    /// re-searches every net over the whole device, and `pres_fac` is
+    /// multiplied by `pres_growth` blindly. It is the reference the
+    /// equivalence property test and E15 compare against.
+    ///
+    /// `false` (the default) is the incremental schedule: after the
+    /// first iteration only nets that touch an overused segment or
+    /// failed last round are ripped up; each net's searches are
+    /// confined to its terminal bounding box expanded by
+    /// [`partition::DEFAULT_MARGIN`] plus hex reach, and the box grows
+    /// every time the net is ripped up again, so hard nets
+    /// asymptotically see the whole device; and `pres_fac` growth
+    /// follows the overuse curve (accelerate on plateau, hold on
+    /// oscillation).
+    pub full_ripup: bool,
     /// Worker threads for wave dispatch (1 = fully sequential). The
     /// engine's outputs are identical for every value — waves only run
     /// nets whose search regions are disjoint, so thread count changes
@@ -274,9 +240,7 @@ impl Default for PathFinderConfig {
                 heuristic_weight: 1,
                 ..MazeConfig::default()
             },
-            incremental: true,
-            bbox_margin: Some(partition::DEFAULT_MARGIN),
-            adaptive_pres: true,
+            full_ripup: false,
             threads: 1,
             timing: None,
         }
@@ -301,23 +265,8 @@ struct PreparedNet {
     src: Segment,
     sinks: Vec<Segment>,
     /// Canonical search region with its earned growth
-    /// ([`SearchBox`] carries the shared growth policy); `None` when
-    /// pruning is off.
-    sbox: Option<SearchBox>,
-}
-
-impl PreparedNet {
-    /// The maze search region for this net's current patience level.
-    fn search_box(&self, margin: u16, dims: virtex::Dims) -> Option<BBox> {
-        self.sbox.map(|b| b.region(margin, dims))
-    }
-
-    /// Widen the region by `by` tiles (no-op when pruning is off).
-    fn widen(&mut self, by: u16) {
-        if let Some(b) = &mut self.sbox {
-            b.widen(by);
-        }
-    }
+    /// ([`SearchBox`] carries the shared growth policy).
+    sbox: SearchBox,
 }
 
 /// Ceiling on the present-congestion factor. Beyond this every shared
@@ -332,7 +281,7 @@ const PRES_FAC_MAX: u32 = 1 << 20;
 /// oscillation (nets are trading places — let history accumulate
 /// instead of amplifying the swing).
 fn next_pres_fac(pres_fac: u32, cfg: &PathFinderConfig, overused: usize, prev: usize) -> u32 {
-    let next = if !cfg.adaptive_pres {
+    let next = if cfg.full_ripup {
         pres_fac.saturating_mul(cfg.pres_growth)
     } else if overused > prev {
         // Oscillation: nets are trading places; hold and let history work.
@@ -421,10 +370,11 @@ pub fn route_all_obs(
     let exec = WaveExec {
         threads: cfg.threads,
     };
-    // Waves require every dirty net to carry a search region that really
-    // confines its search: long lines are bbox-exempt in the maze, so a
-    // config that uses them falls back to the sequential schedule.
-    let waveable = cfg.bbox_margin.is_some() && !cfg.maze.use_long_lines;
+    // Waves require every dirty net's search region to really confine
+    // its search: long lines are bbox-exempt in the maze, so a config
+    // that uses them (or prunes no regions) runs the sequential schedule.
+    let waveable = !cfg.full_ripup && !cfg.maze.use_long_lines;
+    let margin = partition::DEFAULT_MARGIN;
     let mut routes: Vec<Option<RoutedNet>> = vec![None; specs.len()];
     let mut pres_fac = cfg.pres_fac;
     let mut nodes_expanded = 0usize;
@@ -442,12 +392,11 @@ pub fn route_all_obs(
         };
         let src = resolve(&spec.source)?;
         let sinks = spec.sinks.iter().map(resolve).collect::<Result<Vec<_>>>()?;
-        let sbox = match cfg.bbox_margin {
-            Some(_) => {
-                SearchBox::of_points(std::iter::once(src.rc).chain(sinks.iter().map(|s| s.rc)))
-            }
-            None => None,
-        };
+        let mut terminals = BBox::at(src.rc);
+        for s in &sinks {
+            terminals.include(s.rc);
+        }
+        let sbox = SearchBox::new(terminals);
         prepared.push(PreparedNet { src, sinks, sbox });
     }
 
@@ -498,14 +447,9 @@ pub fn route_all_obs(
             // regions are pairwise disjoint: such nets cannot read or
             // write each other's congestion, so ripping up, searching and
             // committing them together is exactly the sequential result.
-            let margin = cfg.bbox_margin.expect("waveable implies a margin");
             let boxes: Vec<BBox> = dirty
                 .iter()
-                .map(|&i| {
-                    prepared[i]
-                        .search_box(margin, dims)
-                        .expect("waveable nets carry a region")
-                })
+                .map(|&i| prepared[i].sbox.region(margin, dims))
                 .collect();
             let plan = partition::partition_waves(&boxes);
             c_waves.add(plan.waves.len() as u64);
@@ -517,7 +461,7 @@ pub fn route_all_obs(
                     let i = dirty[k];
                     if let Some(old) = routes[i].take() {
                         c_ripups.inc();
-                        cong.rip_up(i, &old);
+                        cong.rip_up(&old);
                     }
                 }
                 // Parallel bounded searches against the now-frozen
@@ -550,7 +494,7 @@ pub fn route_all_obs(
                     match built {
                         Some(tree) => {
                             nodes_expanded += tree.nodes_expanded;
-                            routes[i] = Some(cong.commit(i, &specs[i], tree));
+                            routes[i] = Some(cong.commit(&specs[i], tree));
                         }
                         None => serial.push((i, true)),
                     }
@@ -566,7 +510,7 @@ pub fn route_all_obs(
             // misses — the wave already released them).
             if let Some(old) = routes[i].take() {
                 c_ripups.inc();
-                cong.rip_up(i, &old);
+                cong.rip_up(&old);
             }
             let prep = &prepared[i];
             let bbox = if skip_bounded {
@@ -576,8 +520,10 @@ pub fn route_all_obs(
                 // down but never lose one.
                 c_bbox_fallbacks.inc();
                 None
+            } else if cfg.full_ripup {
+                None
             } else {
-                cfg.bbox_margin.and_then(|m| prep.search_box(m, dims))
+                Some(prep.sbox.region(margin, dims))
             };
             let built = route_net_tree(
                 dev,
@@ -596,11 +542,11 @@ pub fn route_all_obs(
                 // Node budget exhausted — leave unrouted this iteration;
                 // congestion relief may fix it next round.
                 any_failure = true;
-                prepared[i].widen(HEX_SPAN);
+                prepared[i].sbox.widen(HEX_SPAN);
                 continue;
             };
             nodes_expanded += tree.nodes_expanded;
-            routes[i] = Some(cong.commit(i, &specs[i], tree));
+            routes[i] = Some(cong.commit(&specs[i], tree));
         }
 
         // Congestion accounting over prev-overused ∪ occupied only.
@@ -632,21 +578,18 @@ pub fn route_all_obs(
             });
         }
 
-        if cfg.incremental {
-            // Dirty set for the next pass: nets without a route plus every
-            // occupant of a surviving overused segment (via the reverse
-            // index — cost proportional to the congestion, not the design).
-            let mut next: Vec<usize> = (0..specs.len()).filter(|&i| routes[i].is_none()).collect();
-            for &o in &cong.overused {
-                next.extend(cong.nets_at(o).map(|n| n as usize));
-            }
-            next.sort_unstable();
-            next.dedup();
+        if !cfg.full_ripup {
+            // Dirty set for the next pass, read off the routes: nets
+            // without a route plus every net whose route still holds an
+            // overused segment (cost proportional to the wirelength,
+            // never to the device).
+            dirty = (0..specs.len())
+                .filter(|&i| cong.is_dirty(routes[i].as_ref()))
+                .collect();
             // A net that keeps coming back earns a wider search region.
-            for &i in &next {
-                prepared[i].widen(1);
+            for &i in &dirty {
+                prepared[i].sbox.widen(1);
             }
-            dirty = next;
         }
 
         pres_fac = match prev_overused {
@@ -864,9 +807,7 @@ mod tests {
         let dev = dev();
         let specs = contended_specs();
         let full_cfg = PathFinderConfig {
-            incremental: false,
-            bbox_margin: None,
-            adaptive_pres: false,
+            full_ripup: true,
             ..Default::default()
         };
         let incr_cfg = PathFinderConfig::default();
@@ -960,31 +901,44 @@ mod tests {
 
     #[test]
     fn account_bumps_each_overused_segment_once() {
-        let mut cong = Congestion::new(SegSpace::new(virtex::Dims::new(2, 2)));
+        let space = SegSpace::new(virtex::Dims::new(2, 2));
+        let mut cong = Congestion::new(space);
         let (churned, stale, released, lone) = (SegIdx(9), SegIdx(3), SegIdx(5), SegIdx(7));
-        for idx in [churned, stale, released] {
-            cong.occupy(idx, 0);
-            cong.occupy(idx, 1);
+        // Net 0 holds `churned`, `stale` and `lone`; net 1 `churned`,
+        // `stale` and `released`; net 2 shares only `released`.
+        for idx in [churned, stale, lone, churned, stale, released, released] {
+            cong.occupy(idx);
         }
-        cong.occupy(lone, 0);
         assert_eq!(cong.account(10), 3);
 
         // Rip up and re-commit both occupants of `churned` twice over;
-        // leave `stale` alone; only release on `released` and `lone`.
-        for _ in 0..2 {
-            for net in [1, 0] {
-                cong.release(churned, net);
-                cong.occupy(churned, net);
-            }
+        // leave `stale` alone; net 1 gives up `released`, net 0 `lone`.
+        for _ in 0..4 {
+            cong.release(churned);
+            cong.occupy(churned);
         }
-        cong.release(released, 1);
-        cong.release(lone, 0);
+        cong.release(released);
+        cong.release(lone);
         assert_eq!(cong.account(10), 2);
         assert_eq!(cong.overused, vec![stale, churned]);
         assert_eq!(cong.history[churned], 20);
         assert_eq!(cong.history[stale], 20);
         assert_eq!(cong.history[released], 10);
         assert_eq!(cong.history[lone], 0);
+
+        // The rip-up set read off the routes: both nets on the
+        // still-shared segments and the unrouted net are dirty; net 2,
+        // whose only shared segment net 1 released, is clean.
+        let route = |idxs: &[SegIdx]| RoutedNet {
+            spec: NetSpec::new(Pin::new(0, 0, wire::S0_YQ), vec![]),
+            pips: vec![],
+            segments: idxs.iter().map(|&i| space.segment(i)).collect(),
+            sink_delays: vec![],
+        };
+        assert!(cong.is_dirty(Some(&route(&[churned, stale]))));
+        assert!(cong.is_dirty(Some(&route(&[stale, churned]))));
+        assert!(!cong.is_dirty(Some(&route(&[released]))));
+        assert!(cong.is_dirty(None));
     }
 
     #[test]

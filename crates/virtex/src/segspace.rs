@@ -103,16 +103,6 @@ impl<T> SegVec<T> {
         }
     }
 
-    /// Map with every slot produced by `f` (for non-`Clone` cell types
-    /// such as atomics).
-    pub fn from_fn(space: SegSpace, f: impl FnMut() -> T) -> Self {
-        let mut f = f;
-        SegVec {
-            space,
-            data: (0..space.len()).map(|_| f()).collect(),
-        }
-    }
-
     /// The space this map covers.
     #[inline]
     pub fn space(&self) -> SegSpace {
@@ -213,15 +203,5 @@ mod tests {
         assert_eq!(nonzero, vec![(idx, 42)]);
         v.fill(1);
         assert_eq!(v[idx], 1);
-    }
-
-    #[test]
-    fn segvec_from_fn_supports_non_clone_cells() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let space = SegSpace::new(Dims::new(1, 2));
-        let v: SegVec<AtomicU32> = SegVec::from_fn(space, || AtomicU32::new(u32::MAX));
-        assert_eq!(v[SegIdx(3)].load(Ordering::Relaxed), u32::MAX);
-        v[SegIdx(3)].store(9, Ordering::Relaxed);
-        assert_eq!(v[SegIdx(3)].load(Ordering::Relaxed), 9);
     }
 }

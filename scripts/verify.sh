@@ -26,6 +26,9 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> census (informational: non-test lines and library panic sites)"
+scripts/census.sh
+
 echo "==> bench smoke: e1_census (tiny budgets via BENCH_* env)"
 BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
     cargo bench --offline --bench e1_census

@@ -457,9 +457,7 @@ fn incremental_pathfinder_matches_full_ripup_reference() {
 
             let incremental = PathFinderConfig::default();
             let full_ripup = PathFinderConfig {
-                incremental: false,
-                bbox_margin: None,
-                adaptive_pres: false,
+                full_ripup: true,
                 ..PathFinderConfig::default()
             };
             let incr = pathfinder::route_all(&dev, &specs, &incremental).unwrap();
